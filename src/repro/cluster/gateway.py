@@ -95,6 +95,8 @@ class Gateway:
                             method="budget-exceeded",
                             detail=str(exc),
                         ),
+                        # What the abandoned admission did examine.
+                        **exc.counters,
                     )
                 )
         admitted = [d.name for d in decisions if d.admitted]

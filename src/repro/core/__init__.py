@@ -32,6 +32,7 @@ from .herbrand import (
     serializability_tests_agree,
 )
 from .multi import (
+    BGraphKernel,
     b_graph_of_cycle,
     b_graph_of_triple,
     decide_safety_multi,
@@ -58,6 +59,7 @@ from .step import Step, StepKind, lock, unlock, update
 from .transaction import Transaction, TransactionBuilder
 
 __all__ = [
+    "BGraphKernel",
     "ClosureContradiction",
     "ClosureResult",
     "DistributedDatabase",

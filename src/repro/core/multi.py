@@ -28,9 +28,9 @@ directions, since ``B_ijk`` depends on the direction).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
-from ..graphs import DiGraph, has_cycle, simple_cycles
+from ..graphs import DiGraph, simple_cycles
 from ..obs import trace
 from .schedule import TransactionSystem
 from .transaction import Transaction
@@ -111,6 +111,103 @@ def b_graph_of_cycle(
     return union
 
 
+BArc = tuple[BNode, BNode]
+
+
+class BGraphKernel:
+    """Condition (b) for many cycles over one set of transactions.
+
+    ``B_ijk`` depends only on its ordered triple, and the directed
+    cycles of one interaction graph share most of their triples, so the
+    kernel derives each triple's arcs from the middle transaction's
+    order **once** and pays only a union and an acyclicity pass per
+    cycle.  *transactions* is any ``name -> Transaction`` lookup (a
+    ``dict``, a :class:`TransactionSystem`); its bodies must not change
+    while the kernel is alive, so a kernel lives no longer than the
+    cycle enumeration it serves.
+
+    :func:`b_graph_of_triple` and :func:`b_graph_of_cycle` remain the
+    ``DiGraph``-returning reference the kernel is tested against.
+    """
+
+    def __init__(
+        self, transactions: Mapping[str, Transaction] | TransactionSystem
+    ) -> None:
+        self._transactions = transactions
+        self._triples: dict[tuple[str, str, str], tuple[BArc, ...]] = {}
+
+    def triple_arcs(self, left: str, middle: str, right: str) -> tuple[BArc, ...]:
+        """The arcs of ``B_ijk`` for the directed path ``(left, middle,
+        right)`` (the arc set of :func:`b_graph_of_triple`)."""
+        key = (left, middle, right)
+        arcs = self._triples.get(key)
+        if arcs is not None:
+            return arcs
+        transactions = self._transactions
+        transaction = transactions[middle]
+        precedes = transaction.precedes
+        locked = set(transaction.locked_entities())
+
+        def rows(other: str, step_of):
+            """One row per entity *other* shares with the middle
+            transaction: its B-node and the middle transaction's step
+            that the arc rules compare."""
+            pair = frozenset({other, middle})
+            shared = locked.intersection(transactions[other].locked_entities())
+            return [((entity, pair), step_of(entity)) for entity in sorted(shared)]
+
+        locks = rows(left, transaction.lock_step)
+        unlocks = rows(right, transaction.unlock_step)
+        found = [
+            (x_node, y_node)
+            for x_node, lock_x in locks
+            for y_node, unlock_y in unlocks
+            if precedes(lock_x, unlock_y)
+        ]
+        for side in (locks, unlocks):
+            found += [
+                (node, node2)
+                for node, step in side
+                for node2, step2 in side
+                if precedes(step, step2)
+            ]
+        arcs = self._triples[key] = tuple(found)
+        return arcs
+
+    def cycle_is_cyclic(self, cycle: Sequence[str]) -> bool:
+        """Does ``B_c`` have a cycle?  *cycle* is a directed cycle of the
+        interaction graph, given without the repeated final node.
+
+        Kahn's algorithm straight over the cached arcs: isolated nodes
+        of ``B_c`` cannot lie on a cycle, so only arc endpoints are
+        materialised, and an arc contributed by two triples counts
+        twice on both sides of the in-degree bookkeeping."""
+        length = len(cycle)
+        successors: dict[BNode, list[BNode]] = {}
+        indegree: dict[BNode, int] = {}
+        for index in range(length):
+            for tail, head in self.triple_arcs(
+                cycle[index],
+                cycle[(index + 1) % length],
+                cycle[(index + 2) % length],
+            ):
+                if tail in successors:
+                    successors[tail].append(head)
+                else:
+                    successors[tail] = [head]
+                    indegree.setdefault(tail, 0)
+                indegree[head] = indegree.get(head, 0) + 1
+        ready = [node for node, degree in indegree.items() if degree == 0]
+        removed = 0
+        while ready:
+            removed += 1
+            for head in successors.get(ready.pop(), ()):
+                indegree[head] -= 1
+                if indegree[head] == 0:
+                    ready.append(head)
+        return removed < len(indegree)
+
+
 def directed_cycles_of_interaction_graph(
     system: TransactionSystem, *, limit: int | None = None
 ):
@@ -154,12 +251,13 @@ def decide_safety_multi(system: TransactionSystem, *, cycle_limit: int | None = 
                     )
     # (b) every directed cycle's B_c has a cycle.
     checked = 0
+    kernel = BGraphKernel(system)
     with trace.span("multi.cycles") as sp:
         for cycle in directed_cycles_of_interaction_graph(
             system, limit=cycle_limit
         ):
             checked += 1
-            if not has_cycle(b_graph_of_cycle(system, cycle)):
+            if not kernel.cycle_is_cyclic(cycle):
                 if sp:
                     sp.set(cycles_checked=checked)
                 return SafetyVerdict(

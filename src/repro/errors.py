@@ -68,7 +68,17 @@ class VettingBudgetError(AdmissionError):
     """An admission's Proposition-2 cycle vetting hit its deterministic
     work bound (:class:`~repro.service.AdmissionRegistry`
     ``cycle_limit``) before reaching a verdict.  The registry is left
-    unchanged; safety of the extension is *undecided*, never assumed."""
+    unchanged; safety of the extension is *undecided*, never assumed.
+
+    *counters* is the work the abandoned admission did get through
+    (``pairs_trivial``, ``pairs_from_cache``, ``pairs_vetted``,
+    ``cycles_checked``), for whoever reports the outcome."""
+
+    def __init__(
+        self, message: str, *, counters: dict[str, int] | None = None
+    ) -> None:
+        super().__init__(message)
+        self.counters = dict(counters or {})
 
 
 class TrafficSpecError(ReproError):

@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.entity import DistributedDatabase
-from ..core.multi import b_graph_of_cycle
+from ..core.multi import BGraphKernel
 from ..core.safety import SafetyVerdict, decide_safety
 from ..core.schedule import TransactionSystem
 from ..core.transaction import Transaction
 from ..errors import AdmissionError, AdmissionTimeout, VettingBudgetError
-from ..graphs import DiGraph, has_cycle, simple_cycles
+from ..graphs import DiGraph, simple_cycles
 from ..obs import trace
 from .cache import CachedVerdict, VerdictCache
 from .fingerprint import fingerprint_of, pair_key
@@ -97,8 +97,9 @@ class AdmissionRegistry:
         admission.  *cache* and *pool* may be shared between registries
         (that is how a warmed cache carries over); *cycle_limit* bounds
         the Proposition 2 cycle enumeration per admission (``None`` =
-        exhaustive; hitting the bound raises :class:`AdmissionError`
-        rather than answering unsoundly); *admission_timeout* (seconds)
+        exhaustive; hitting the bound raises
+        :class:`~repro.errors.VettingBudgetError` rather than answering
+        unsoundly); *admission_timeout* (seconds)
         bounds each admission's pair-vetting work — expiry raises
         :class:`~repro.errors.AdmissionTimeout` and leaves the registry
         unchanged."""
@@ -412,31 +413,44 @@ class AdmissionRegistry:
                 for neighbour in sorted(adjacency[node]):
                     graph.add_arc(node, neighbour)
                     graph.add_arc(neighbour, node)
-            extended = TransactionSystem(
-                [record.transaction for record in self._members.values()]
-                + [transaction],
-                database=self.database,
-            )
-            produced = 0
+            bodies = {
+                member: record.transaction
+                for member, record in self._members.items()
+            }
+            bodies[name] = transaction
+            kernel = BGraphKernel(bodies)
+            produced = checked = 0
+            failing: list[str] | None = None
             for cycle in simple_cycles(graph, limit=self.cycle_limit):
                 produced += 1
                 if len(cycle) < 3 or name not in cycle:
                     continue  # pairs are condition (a); old cycles were checked
-                decision.cycles_checked += 1
-                self.stats.count("cycles_checked")
-                if not has_cycle(b_graph_of_cycle(extended, cycle)):
-                    decision.failing_cycle = tuple(cycle)
-                    return SafetyVerdict(
-                        safe=False,
-                        method="proposition-2",
-                        detail=(
-                            f"B_c is acyclic for the interaction-graph "
-                            f"cycle {' -> '.join(cycle)}"
-                        ),
-                    )
+                checked += 1
+                if not kernel.cycle_is_cyclic(cycle):
+                    failing = cycle
+                    break
+            # Counted once per admission, on every way out of it.
+            decision.cycles_checked += checked
+            self.stats.count("cycles_checked", checked)
+            if failing is not None:
+                decision.failing_cycle = tuple(failing)
+                return SafetyVerdict(
+                    safe=False,
+                    method="proposition-2",
+                    detail=(
+                        f"B_c is acyclic for the interaction-graph "
+                        f"cycle {' -> '.join(failing)}"
+                    ),
+                )
             if self.cycle_limit is not None and produced >= self.cycle_limit:
                 raise VettingBudgetError(
                     f"cycle enumeration hit its limit ({self.cycle_limit}) "
-                    f"while vetting {name!r}; admission is undecided"
+                    f"while vetting {name!r}; admission is undecided",
+                    counters={
+                        "pairs_trivial": decision.pairs_trivial,
+                        "pairs_from_cache": decision.pairs_from_cache,
+                        "pairs_vetted": decision.pairs_vetted,
+                        "cycles_checked": decision.cycles_checked,
+                    },
                 )
         return None

@@ -7,11 +7,22 @@ fault-free and a faulted sweep passes the serializability audit; and
 the report's JSON shape is what the benchmark gate reads.
 """
 
+import json
+import pathlib
+
 import pytest
 
-from repro.arena import NO_FAULTS, ArenaCell, cell_seed, run_arena, run_cell
+from repro.arena import (
+    NO_FAULTS,
+    VET_CYCLE_LIMIT,
+    ArenaCell,
+    cell_seed,
+    run_arena,
+    run_cell,
+)
+from repro.cluster.gateway import Gateway
 from repro.faults import FaultPlan
-from repro.workloads import TrafficSpec
+from repro.workloads import TrafficSpec, generate_workload
 
 SPEC = TrafficSpec.from_dict(
     {
@@ -174,3 +185,39 @@ class TestRunArena:
         assert "arena: 1 policies × 1 workloads × 1 fault plans" in text
         assert "arena-unit" in text
         assert "1 cells in" in text
+
+
+class TestBudgetedVettingIsPinned:
+    """The ``2pl × zipfian-hot`` cell at twelve transactions — the
+    system the benchmark's ``admit-2pl-zipf`` workload vets — decision
+    by decision.  Which cycles the budget sees is decided by the order
+    they are enumerated in, so a change to the enumeration (a different
+    root, a syntactic shortcut) moves these numbers and, with them, the
+    mode and fingerprints the benchmark pins: this test makes that a
+    visible, deliberate diff."""
+
+    def test_decision_vector(self):
+        path = pathlib.Path(__file__).parents[2] / "examples/workloads/zipfian-hot.json"
+        spec = TrafficSpec.from_dict({**json.loads(path.read_text()), "transactions": 12})
+        system = generate_workload(
+            spec, policy="2pl", seed=cell_seed(0, "2pl", spec.name, NO_FAULTS)
+        ).system
+        gateway = Gateway(cycle_limit=VET_CYCLE_LIMIT)
+        try:
+            decision = gateway.vet(system)
+            service = gateway.stats_dict()["service"]
+        finally:
+            gateway.close()
+        assert decision.mode == "runtime-guarded"
+        assert [d.admitted for d in decision.decisions] == [True] * 9 + [False] * 3
+        assert [d.verdict.method for d in decision.decisions] == (
+            ["admission"] * 9 + ["budget-exceeded"] * 3
+        )
+        # A budget rejection reports the cycles it did examine.
+        checked = [d.cycles_checked for d in decision.decisions]
+        assert checked == [0, 0, 0, 0, 2, 12, 60, 96, 614, 1996, 1996, 1997]
+        assert service["cycles_checked"] == sum(checked) == 6773
+        for name in ("pairs_trivial", "pairs_from_cache", "pairs_vetted"):
+            assert service[name] == sum(
+                getattr(d, name) for d in decision.decisions
+            )

@@ -5,12 +5,17 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    BGraphKernel,
     TransactionSystem,
+    b_graph_of_cycle,
+    b_graph_of_triple,
     decide_safety,
     decide_safety_exhaustive,
     decide_safety_multi,
     interaction_graph,
 )
+from repro.core.multi import directed_cycles_of_interaction_graph
+from repro.graphs import has_cycle
 from repro.workloads import random_system
 
 multi_params = st.fixed_dictionaries(
@@ -82,3 +87,40 @@ def test_all_two_phase_systems_safe(params):
         two_phase=True,
     )
     assert decide_safety_multi(system).safe
+
+
+# Denser than multi_params: five transactions over few entities give
+# interaction cycles of length 3-5 that share most of their triples.
+kernel_params = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 10**9),
+        "transactions": st.integers(3, 5),
+        "sites": st.integers(1, 3),
+        "entities": st.integers(3, 5),
+        "per_tx": st.integers(2, 4),
+    }
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_params)
+def test_b_graph_kernel_matches_reference_graphs(params):
+    """The memoised kernel against the ``DiGraph`` reference: the same
+    arcs for every triple, the same answer for every cycle — asked of
+    one kernel, so later cycles are served from earlier cycles' memo."""
+    system = build(params)
+    kernel = BGraphKernel(system)
+    for cycle in directed_cycles_of_interaction_graph(system, limit=200):
+        assert kernel.cycle_is_cyclic(cycle) == has_cycle(
+            b_graph_of_cycle(system, cycle)
+        )
+        for index in range(len(cycle)):
+            left, middle, right = (
+                cycle[(index + offset) % len(cycle)] for offset in range(3)
+            )
+            arcs = kernel.triple_arcs(left, middle, right)
+            reference = b_graph_of_triple(
+                system[left], system[middle], system[right]
+            ).arcs()
+            assert len(arcs) == len(reference)
+            assert set(arcs) == set(reference)

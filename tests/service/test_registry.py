@@ -8,7 +8,7 @@ from repro.core import (
     TransactionSystem,
     decide_safety,
 )
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, VettingBudgetError
 from repro.service import AdmissionRegistry, VerdictCache
 
 
@@ -104,11 +104,11 @@ class TestProtocolErrors:
 
 
 class TestCycleCondition:
-    def triangle(self, db):
+    def triangle(self, db, two_phase=False):
         return [
-            chain("T1", db, ["a", "b"]),
-            chain("T2", db, ["b", "c"]),
-            chain("T3", db, ["c", "a"]),
+            chain("T1", db, ["a", "b"], two_phase),
+            chain("T2", db, ["b", "c"], two_phase),
+            chain("T3", db, ["c", "a"], two_phase),
         ]
 
     def test_pairwise_safe_triangle_rejected(self, db):
@@ -138,6 +138,53 @@ class TestCycleCondition:
         registry.admit(t2)
         with pytest.raises(AdmissionError, match="cycle enumeration"):
             registry.admit(t3)
+
+    def test_budget_error_carries_the_work_done(self, db):
+        # The triangle's interaction graph has five directed cycles
+        # (three pairs, the triangle both ways): a limit of five is hit
+        # after both triangles passed their B_c test.
+        registry = AdmissionRegistry(cycle_limit=5)
+        t1, t2, t3 = self.triangle(db, two_phase=True)
+        registry.admit(t1)
+        registry.admit(t2)
+        with pytest.raises(VettingBudgetError) as raised:
+            registry.admit(t3)
+        assert raised.value.counters == {
+            "pairs_trivial": 2,
+            "pairs_from_cache": 0,
+            "pairs_vetted": 0,
+            "cycles_checked": 2,
+        }
+        assert registry.stats.cycles_checked == 2
+        assert registry.names == ["T1", "T2"]
+
+    @pytest.mark.parametrize("two_phase", [False, True])
+    def test_cycles_counted_once_per_admission(self, db, two_phase):
+        # Rejected at the triangle's second direction, or admitted
+        # after both: the service total is the decision's count.
+        registry = AdmissionRegistry()
+        for transaction in self.triangle(db, two_phase):
+            decision = registry.admit(transaction)
+        assert decision.admitted == two_phase
+        assert decision.cycles_checked == 2
+        assert registry.stats.cycles_checked == 2
+
+    def test_same_name_new_body_is_vetted_afresh(self, db):
+        """B-graph triples are remembered per name while one admission
+        enumerates its cycles, and no longer: a rejected or evicted
+        body must never answer for the next one under its name."""
+        registry = AdmissionRegistry()
+        t1, t2, two_phase_t3 = self.triangle(db, two_phase=True)
+        other_t3 = self.triangle(db)[2]
+        registry.admit(t1)
+        registry.admit(t2)
+        assert not registry.admit(other_t3).admitted
+        assert registry.admit(two_phase_t3).admitted
+        registry.evict("T3")
+        decision = registry.admit(other_t3)
+        assert not decision.admitted
+        assert decision.verdict.method == "proposition-2"
+        assert set(decision.failing_cycle) == {"T1", "T2", "T3"}
 
     def test_admit_system_skips_rejections(self, db):
         registry = AdmissionRegistry()

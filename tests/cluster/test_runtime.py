@@ -90,6 +90,35 @@ class TestDeterminism:
         assert first.history_fingerprint == second.history_fingerprint
 
 
+class TestGoldenOracle:
+    """The transfer pair at the benchmark's seed, pinned bit for bit:
+    the same cases ``benchmarks/suite/expected.json`` holds
+    (``transfer-mem``), so a runner refactor that moves a fingerprint
+    or a message count fails tier-1, not only the benchmark."""
+
+    @pytest.mark.parametrize(
+        "batch, history, outcomes, messages",
+        [
+            (False, "7082f594c9fd7e9c", "73ef7f1cb86f4e0e", 4217),
+            (True, "43f1640325abfc8a", "ad48cac376bb65fa", 2729),
+        ],
+    )
+    def test_transfer_pair_is_pinned(
+        self, deadlock_prone_system, batch, history, outcomes, messages
+    ):
+        report = run_cluster_sync(
+            deadlock_prone_system,
+            rounds=50,
+            batch=batch,
+            max_retries=16,
+            concurrency=4,
+            seed=14,
+        )
+        assert report.history_fingerprint[:16] == history
+        assert report.outcome_fingerprint[:16] == outcomes
+        assert report.messages == messages
+
+
 class TestNetworkFaults:
     def test_message_drops_survived_via_request_timeout(
         self, deadlock_prone_system

@@ -49,6 +49,27 @@ class TestHealthyRun:
         assert first.outcome_fingerprint == second.outcome_fingerprint
 
 
+class TestGoldenOracle:
+    """``benchmarks/suite/expected.json``'s ``replica3-transfer`` case
+    pinned in tier-1, with the one-replica group that is the
+    benchmark's message-amplification denominator."""
+
+    @pytest.mark.parametrize("replicas, messages", [(3, 5689), (1, 1887)])
+    def test_transfer_pair_is_pinned(self, transfer_system, replicas, messages):
+        report = run_replicated_sync(
+            transfer_system,
+            replicas=replicas,
+            rounds=25,
+            max_retries=16,
+            concurrency=4,
+            seed=14,
+        )
+        assert report.history_fingerprint[:16] == "66224cf91e8aa1a6"
+        assert report.outcome_fingerprint[:16] == "fb4ce430d51548ed"
+        assert report.messages == messages
+        assert report.replicas == replicas
+
+
 class TestValidation:
     def test_fault_plan_requires_request_timeout(self, transfer_system):
         plan = FaultPlan(site_crashes=(SiteCrash(site=1, at=10),))

@@ -27,6 +27,7 @@ compares those numbers against ``benchmarks/baselines.json`` in CI.
 import os
 
 from repro.arena import NO_FAULTS, run_arena
+from repro.cluster import ClusterConfig
 from repro.faults import FaultPlan
 from repro.workloads import POLICIES, TrafficSpec
 
@@ -68,7 +69,7 @@ def sweep():
         policies=list(POLICIES),
         fault_plans=load_fault_plans(),
         seed=SEED,
-        max_retries=MAX_RETRIES,
+        config=ClusterConfig(max_retries=MAX_RETRIES),
     )
 
 

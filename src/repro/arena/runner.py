@@ -21,9 +21,10 @@ from __future__ import annotations
 import time
 import zlib
 from collections.abc import Sequence
+from dataclasses import replace
 
 from ..cluster.gateway import Gateway
-from ..cluster.runtime import run_cluster_sync
+from ..cluster.runtime import ClusterConfig, run_sync
 from ..faults.plan import FaultPlan
 from ..workloads.traffic import VET_CYCLE_LIMIT, TrafficSpec, generate_workload
 from .report import ArenaCell, ArenaReport
@@ -46,33 +47,22 @@ def run_cell(
     fault_plan: FaultPlan | None = None,
     fault_plan_name: str = NO_FAULTS,
     seed: int = 0,
-    transport: str = "memory",
-    deadlock_policy: str = "abort-youngest",
-    max_retries: int = 5,
-    grant_timeout: int | None = None,
-    request_timeout: float | None = None,
-    vet: bool = True,
+    config: ClusterConfig | None = None,
     vet_cycle_limit: int | None = VET_CYCLE_LIMIT,
 ) -> ArenaCell:
     """Run one cell: generate *spec* under *policy*, drive it through a
-    fresh cluster with *fault_plan* injected, condense the report."""
+    fresh cluster with *fault_plan* injected, condense the report.
+    *config* carries the knobs every cell shares (default: all
+    defaults); its seed, fault plan, gateway and traffic fields are
+    the cell's and are overwritten."""
     derived = cell_seed(seed, policy, spec.name, fault_plan_name)
     workload = generate_workload(spec, policy=policy, seed=derived)
-    gateway = Gateway(cycle_limit=vet_cycle_limit) if vet else None
+    config = replace(
+        config or ClusterConfig(), seed=derived, fault_plan=fault_plan, **workload.cluster_kwargs()
+    )
+    gateway = Gateway(cycle_limit=vet_cycle_limit) if config.vet else None
     try:
-        report = run_cluster_sync(
-            workload.system,
-            transport=transport,
-            deadlock_policy=deadlock_policy,
-            max_retries=max_retries,
-            seed=derived,
-            vet=vet,
-            gateway=gateway,
-            fault_plan=fault_plan,
-            grant_timeout=grant_timeout,
-            request_timeout=request_timeout,
-            **workload.cluster_kwargs(),
-        )
+        report = run_sync(workload.system, replace(config, gateway=gateway))
     finally:
         if gateway is not None:
             gateway.close()
@@ -91,12 +81,7 @@ def run_arena(
     policies: Sequence[str],
     fault_plans: Sequence[tuple[str, FaultPlan | None]] = ((NO_FAULTS, None),),
     seed: int = 0,
-    transport: str = "memory",
-    deadlock_policy: str = "abort-youngest",
-    max_retries: int = 5,
-    grant_timeout: int | None = None,
-    request_timeout: float | None = None,
-    vet: bool = True,
+    config: ClusterConfig | None = None,
     vet_cycle_limit: int | None = VET_CYCLE_LIMIT,
 ) -> ArenaReport:
     """Sweep every (policy, spec, fault plan) cell, in deterministic
@@ -107,8 +92,9 @@ def run_arena(
     memory-transport fingerprint.
     """
     started = time.perf_counter()
+    config = config or ClusterConfig()
     report = ArenaReport(
-        transport=transport,
+        transport=config.transport,
         seed=seed,
         policies=list(policies),
         workloads=[spec.name for spec in specs],
@@ -124,12 +110,7 @@ def run_arena(
                         fault_plan=plan,
                         fault_plan_name=plan_name,
                         seed=seed,
-                        transport=transport,
-                        deadlock_policy=deadlock_policy,
-                        max_retries=max_retries,
-                        grant_timeout=grant_timeout,
-                        request_timeout=request_timeout,
-                        vet=vet,
+                        config=config,
                         vet_cycle_limit=vet_cycle_limit,
                     )
                 )

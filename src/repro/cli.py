@@ -44,14 +44,13 @@ Subcommands
     ``ADMIT <dsl with ';' for newlines>``, ``EVICT <name>``, ``STATS``,
     ``METRICS``, ``QUIT``.
 
-``cluster run|serve|bench|status``
+``cluster run|serve|status``
     The networked runtime (:mod:`repro.cluster`): ``run`` boots an
     in-process multi-site cluster (``--transport memory`` for
     deterministic queues, ``tcp`` for real sockets), executes
     ``--rounds`` instances of a system and audits every committed
     history for serializability; ``serve`` runs one TCP site server in
-    the foreground; ``bench`` compares simulator vs memory vs TCP
-    throughput; ``status`` probes live sites (``--peer
+    the foreground; ``status`` probes live sites (``--peer
     ADDR=HOST:PORT``), prints each lock table / wait queue / replica
     lease state and stitches the per-site wait-for edges into the
     global graph, flagging deadlock cycles (exit 1) and unreachable
@@ -518,11 +517,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cluster_config(args: argparse.Namespace, **knobs):
+    """The flags ``cluster run`` and ``arena`` share, plus *knobs*, as
+    the one run configuration."""
+    from .cluster import ClusterConfig
+
+    return ClusterConfig(
+        transport=args.transport,
+        deadlock_policy=args.deadlock_policy or "abort-youngest",
+        max_retries=args.max_retries,
+        seed=args.seed,
+        vet=not args.no_vet,
+        grant_timeout=args.grant_timeout,
+        request_timeout=args.request_timeout,
+        **knobs,
+    )
+
+
 def cmd_cluster_run(args: argparse.Namespace) -> int:
-    from .cluster import run_cluster_sync
+    from .cluster import ClusterError, run_sync
     from .obs.events import EventLog
 
-    workload_kwargs: dict = {}
+    traffic = {"rounds": args.rounds, "concurrency": args.concurrency}
     if args.workload is not None:
         if args.file is not None:
             log.error(
@@ -531,11 +547,12 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
             )
             return 2
         if args.replicas > 1:
-            log.error(
-                "error: --workload drives the plain cluster runtime; "
+            # Open-loop arrivals and latency are rejected by the config
+            # itself; a closed-loop spec carries neither, so say it here.
+            raise ClusterError(
+                "--workload drives the plain cluster runtime; "
                 "it cannot be combined with --replicas"
             )
-            return 2
         from .workloads.traffic import TrafficSpec, generate_workload
 
         log.info(f"loading traffic spec {args.workload}")
@@ -546,7 +563,7 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
         system = generated.system
         # The spec owns the arrival process, concurrency and latency
         # matrix; --rounds/--concurrency are ignored for workload runs.
-        workload_kwargs = generated.cluster_kwargs()
+        traffic = generated.cluster_kwargs()
         if args.rounds != 1:
             log.info("--rounds is ignored with --workload (spec sets the size)")
     elif args.file is None:
@@ -555,40 +572,23 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
     else:
         log.info(f"loading {args.file}")
         system = _load_system(args.file)
-    plan = _load_plan(args)
-    if plan is not None:
-        # Fail fast, before any server boots: a typo'd site id would
-        # otherwise silently inject nothing.
-        plan.validate_against(system)
     event_log = EventLog() if args.events else None
-    common = dict(
-        transport=args.transport,
-        rounds=args.rounds,
-        concurrency=args.concurrency,
-        deadlock_policy=args.deadlock_policy or "abort-youngest",
-        max_retries=args.max_retries,
-        seed=args.seed,
-        vet=not args.no_vet,
-        fault_plan=plan,
-        event_log=event_log,
-        grant_timeout=args.grant_timeout,
-        request_timeout=args.request_timeout,
-        wire_metrics=args.metrics,
-        codec=args.codec,
-        batch=args.batch,
-        recorder=not args.no_recorder,
-        postmortem_dir=args.postmortem,
-        use_uvloop=args.uvloop,
+    report = run_sync(
+        system,
+        _cluster_config(
+            args,
+            fault_plan=_load_plan(args),
+            event_log=event_log,
+            wire_metrics=args.metrics,
+            codec=args.codec,
+            batch=args.batch,
+            recorder=not args.no_recorder,
+            postmortem_dir=args.postmortem,
+            replicas=args.replicas if args.replicas > 1 else None,
+            lease_ticks=args.lease_ticks,
+            **traffic,
+        ),
     )
-    common.update(workload_kwargs)
-    if args.replicas > 1:
-        from .replica import run_replicated_sync
-
-        report = run_replicated_sync(
-            system, replicas=args.replicas, lease_ticks=args.lease_ticks, **common
-        )
-    else:
-        report = run_cluster_sync(system, **common)
     if args.json:
         log.result(json.dumps(report.to_dict(), indent=2))
     else:
@@ -632,12 +632,7 @@ def cmd_arena(args: argparse.Namespace) -> int:
         policies=policies,
         fault_plans=fault_plans,
         seed=args.seed,
-        transport=args.transport,
-        deadlock_policy=args.deadlock_policy or "abort-youngest",
-        max_retries=args.max_retries,
-        grant_timeout=args.grant_timeout,
-        request_timeout=args.request_timeout,
-        vet=not args.no_vet,
+        config=_cluster_config(args),
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -736,60 +731,6 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         log.info("interrupted")
-    return 0
-
-
-def cmd_cluster_bench(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from .cluster import run_cluster_sync
-    from .sim import RandomDriver, run_once
-
-    log.info(f"loading {args.file}")
-    system = _load_system(args.file)
-    results: dict[str, dict] = {}
-
-    started = _time.perf_counter()
-    for run in range(args.rounds):
-        run_once(system, RandomDriver(args.seed + run))
-    elapsed = _time.perf_counter() - started
-    txns = args.rounds * len(system)
-    results["simulator"] = {
-        "transactions": txns,
-        "seconds": elapsed,
-        "txn_per_s": txns / elapsed if elapsed else float("inf"),
-    }
-
-    for transport in ("memory", "tcp"):
-        report = run_cluster_sync(
-            system,
-            transport=transport,
-            rounds=args.rounds,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            request_timeout=30.0 if transport == "tcp" else None,
-        )
-        results[transport] = {
-            "transactions": report.transactions,
-            "committed": report.committed,
-            "seconds": report.wall_seconds,
-            "txn_per_s": (
-                report.transactions / report.wall_seconds
-                if report.wall_seconds
-                else float("inf")
-            ),
-            "serializable": report.serializable,
-        }
-
-    if args.json:
-        log.result(json.dumps(results, indent=2))
-        return 0
-    log.result(f"{'path':<10} {'txns':>6} {'seconds':>9} {'txn/s':>10}")
-    for name, row in results.items():
-        log.result(
-            f"{name:<10} {row['transactions']:>6} "
-            f"{row['seconds']:>9.3f} {row['txn_per_s']:>10.0f}"
-        )
     return 0
 
 
@@ -1124,11 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one request frame per step (the default)",
     )
     cluster_run.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop when installed (silently ignored when not)",
-    )
-    cluster_run.add_argument(
         "--events",
         action="store_true",
         help="collect and print the cluster event timeline",
@@ -1267,17 +1203,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_obs_flags(cluster_serve)
     cluster_serve.set_defaults(func=cmd_cluster_serve)
-
-    cluster_bench = cluster_sub.add_parser(
-        "bench",
-        help="quick simulator vs memory vs TCP throughput comparison",
-    )
-    cluster_bench.add_argument("file")
-    cluster_bench.add_argument("--rounds", type=int, default=50)
-    cluster_bench.add_argument("--concurrency", type=int, default=8)
-    cluster_bench.add_argument("--seed", type=int, default=0)
-    cluster_bench.add_argument("--json", action="store_true")
-    cluster_bench.set_defaults(func=cmd_cluster_bench)
 
     cluster_status = cluster_sub.add_parser(
         "status",

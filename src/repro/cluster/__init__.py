@@ -24,7 +24,14 @@ from .coordinator import Coordinator, TxnOutcome
 from .gateway import Gateway, GatewayDecision
 from .netfaults import NetworkFaultAdapter
 from .protocol import PEER_KINDS, REQUEST_KINDS, ProtocolError
-from .runtime import ClusterError, ClusterReport, run_cluster, run_cluster_sync
+from .runtime import (
+    ClusterConfig,
+    ClusterError,
+    ClusterReport,
+    run_cluster,
+    run_cluster_sync,
+    run_sync,
+)
 from .siteserver import SiteServer
 from .transport import (
     Connection,
@@ -37,6 +44,7 @@ from .transport import (
 )
 
 __all__ = [
+    "ClusterConfig",
     "ClusterError",
     "ClusterReport",
     "Connection",
@@ -57,4 +65,5 @@ __all__ = [
     "TxnOutcome",
     "run_cluster",
     "run_cluster_sync",
+    "run_sync",
 ]

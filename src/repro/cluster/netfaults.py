@@ -28,17 +28,14 @@ from ..faults.plan import FaultPlan
 from ..obs.events import EventLog
 from ..obs.metrics import REGISTRY
 
-_DROPS = None
 
-
+# Resolved by name at use time: a cached handle would be orphaned by
+# the per-run ``REGISTRY.reset()`` and count into nothing afterwards.
 def _drops_counter():
-    global _DROPS
-    if _DROPS is None:
-        _DROPS = REGISTRY.counter(
-            "repro_cluster_messages_dropped_total",
-            "Protocol messages discarded by injected network faults.",
-        )
-    return _DROPS
+    return REGISTRY.counter(
+        "repro_cluster_messages_dropped_total",
+        "Protocol messages discarded by injected network faults.",
+    )
 
 
 class NetworkFaultAdapter:

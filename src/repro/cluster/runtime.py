@@ -1,13 +1,15 @@
 """Boot a cluster, run a workload through it, audit the result.
 
-:func:`run_cluster` is the one-call harness the CLI and the benchmark
-use: it starts one :class:`~repro.cluster.siteserver.SiteServer` per
-site on the chosen transport, vets the workload through the
-:class:`~repro.cluster.gateway.Gateway`, executes *rounds* copies of
-every transaction with a bounded number of concurrent
-:class:`~repro.cluster.coordinator.Coordinator` clients, then pulls
-each site's committed per-entity update orders and checks the whole
-distributed history for conflict-serializability with
+The one run path every entry point shares (:func:`run_cluster`,
+:func:`run_sync`, :func:`repro.replica.run_replicated_cluster`): it
+validates a :class:`ClusterConfig`, boots the configured
+:class:`Topology` — one :class:`~repro.cluster.siteserver.SiteServer`
+per site, or a replica group per site — on the chosen transport, vets
+the workload through the :class:`~repro.cluster.gateway.Gateway`,
+executes *rounds* copies of every transaction with a bounded number
+of concurrent :class:`~repro.cluster.coordinator.Coordinator` clients,
+then pulls each site's committed per-entity update orders and checks
+the whole distributed history for conflict-serializability with
 :func:`repro.sim.analysis.serializable_from_site_orders`.
 
 Under the memory transport the entire run — message order, deadlock
@@ -24,7 +26,7 @@ import json
 import os
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..core.schedule import TransactionSystem
 from ..core.transaction import Transaction
@@ -249,32 +251,10 @@ async def _fetch_history(
         return None
 
 
-async def run_cluster(
-    system: TransactionSystem,
-    *,
-    transport: str | Transport = "memory",
-    rounds: int = 1,
-    concurrency: int = 8,
-    deadlock_policy: str = "abort-youngest",
-    max_retries: int = 5,
-    seed: int = 0,
-    vet: bool = True,
-    fault_plan: FaultPlan | None = None,
-    event_log: EventLog | None = None,
-    grant_timeout: int | None = None,
-    request_timeout: float | None = None,
-    gateway: Gateway | None = None,
-    wire_metrics: bool = False,
-    codec: str = "json",
-    batch: bool = False,
-    arrivals: Sequence[int] | None = None,
-    latency: LatencyMatrix | None = None,
-    recorder: FlightRecorder | bool = True,
-    postmortem_dir: str | None = None,
-) -> ClusterReport:
-    """Execute *rounds* copies of *system* on a live cluster.
-
-    *transport* is ``"memory"``, ``"tcp"`` or a ready
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Every knob of one cluster run; a new knob is a field here,
+    nothing else.  *transport* is ``"memory"``, ``"tcp"`` or a ready
     :class:`~repro.cluster.transport.Transport`; *concurrency* bounds
     simultaneously running coordinators; *grant_timeout* (transport
     ticks) arms per-site lock-grant timers; *request_timeout*
@@ -296,11 +276,7 @@ async def run_cluster(
     × system size).  *latency* wraps the transport in a
     :class:`~repro.cluster.transport.LatencyTransport`, charging every
     frame the configured cross-region delay.  Both come from traffic
-    specs (:mod:`repro.workloads.traffic`) but are plain runtime knobs.
-
-    Every run starts by resetting the ``repro_cluster_*`` metrics, so
-    back-to-back runs in one process (benchmarks, tests) never
-    accumulate each other's counts.
+    specs (:mod:`repro.workloads.traffic`); plain clusters only.
 
     *recorder* controls the always-on flight recorder
     (:class:`~repro.obs.insight.FlightRecorder`): ``True`` (default)
@@ -309,167 +285,305 @@ async def run_cluster(
     afterwards.  When the run ends badly (non-serializable,
     partial-commit, or an incomplete audit) and *postmortem_dir* — or
     the ``REPRO_POSTMORTEM`` environment variable — names a directory,
-    a post-mortem bundle (ring, report, recent events, trace files) is
-    written there and :attr:`ClusterReport.postmortem` records the
-    path; with neither set, nothing is written.
-    """
-    if rounds < 1:
-        raise ClusterError(f"need at least one round, got {rounds}")
-    if concurrency < 1:
-        raise ClusterError(f"need concurrency >= 1, got {concurrency}")
-    if fault_plan is not None:
-        fault_plan.validate_against(system)
-        if request_timeout is None and any(
-            crash.recover_at is None for crash in fault_plan.site_crashes
-        ):
-            raise ClusterError(
-                "fault plan crashes a site permanently (recover_at omitted); "
-                "set request_timeout so requests to the dead site can fail "
-                "instead of hanging the run"
-            )
+    a post-mortem bundle (ring, report, recent events, trace files,
+    this configuration) is written there and recorded in
+    :attr:`ClusterReport.postmortem`; with neither, nothing is written.
 
-    REGISTRY.reset(prefix="repro_cluster_")
-    if wire_metrics:
-        distributed.WIRE.enable_metrics()
-    if event_log is not None:
-        distributed.WIRE.attach(event_log)
-    if isinstance(recorder, FlightRecorder):
+    *replicas* picks the topology: ``None`` boots one plain
+    :class:`~repro.cluster.siteserver.SiteServer` per site; a count
+    makes every site a :class:`~repro.replica.group.ReplicaGroup` of
+    that many replicas (``1`` still builds a one-replica group) with
+    *lease_ticks* leases and the wall-clock *election_timeout* /
+    *replication_timeout* bounding one vote or ship round trip against
+    a dead replica.
+    """
+
+    transport: str | Transport = "memory"
+    rounds: int = 1
+    concurrency: int = 8
+    deadlock_policy: str = "abort-youngest"
+    max_retries: int = 5
+    seed: int = 0
+    vet: bool = True
+    fault_plan: FaultPlan | None = None
+    event_log: EventLog | None = None
+    grant_timeout: int | None = None
+    request_timeout: float | None = None
+    gateway: Gateway | None = None
+    wire_metrics: bool = False
+    codec: str = "json"
+    batch: bool = False
+    arrivals: Sequence[int] | None = None
+    latency: LatencyMatrix | None = None
+    recorder: FlightRecorder | bool = True
+    postmortem_dir: str | None = None
+    replicas: int | None = None
+    lease_ticks: int = 64
+    election_timeout: float = 0.25
+    replication_timeout: float = 0.5
+
+    def validate(self, system: TransactionSystem) -> None:
+        """Raise unless this configuration can run *system*.  The
+        runner calls it once, before it touches any process-global
+        state, so a rejected configuration leaves none behind."""
+        if self.rounds < 1:
+            raise ClusterError(f"need at least one round, got {self.rounds}")
+        if self.concurrency < 1:
+            raise ClusterError(f"need concurrency >= 1, got {self.concurrency}")
+        if not (isinstance(self.transport, Transport) or self.transport in ("memory", "tcp")):
+            raise ClusterError(
+                f"unknown transport {self.transport!r} (memory, tcp, or a Transport)"
+            )
+        protocol.codec_named(self.codec)  # raises on an unknown codec name
+        if self.replicas is not None:
+            if self.replicas < 1:
+                raise ClusterError(f"need at least one replica per site, got {self.replicas}")
+            if self.arrivals is not None or self.latency is not None:
+                raise ClusterError(
+                    "arrivals and latency drive the plain cluster runtime; "
+                    "they cannot be combined with replicas"
+                )
+        if self.arrivals is not None and len(self.arrivals) != self.rounds * len(system):
+            raise ClusterError(
+                f"arrivals must cover the whole workload: got "
+                f"{len(self.arrivals)} start ticks for "
+                f"{self.rounds * len(system)} transaction instances"
+            )
+        if self.fault_plan is not None:
+            self.fault_plan.validate_against(system)
+            if self.request_timeout is None and self.replicas is not None:
+                raise ClusterError(
+                    "replicated runs under a fault plan need request_timeout: "
+                    "a killed leader answers nothing, and the client timeout "
+                    "is what triggers re-resolution and failover"
+                )
+            if self.request_timeout is None and any(
+                crash.recover_at is None for crash in self.fault_plan.site_crashes
+            ):
+                raise ClusterError(
+                    "fault plan crashes a site permanently (recover_at omitted); "
+                    "set request_timeout so requests to the dead site can fail "
+                    "instead of hanging the run"
+                )
+
+    def to_dict(self) -> dict:
+        """The value knobs, JSON-shaped: what a post-mortem bundle
+        records so it can say which run produced it."""
+        payload = {
+            knob.name: getattr(self, knob.name)
+            for knob in fields(self)
+            if knob.name not in ("event_log", "gateway", "recorder")
+        }
+        if not isinstance(self.transport, str):
+            payload["transport"] = type(self.transport).__name__
+        if self.fault_plan is not None:
+            payload["fault_plan"] = self.fault_plan.to_dict()
+        if self.arrivals is not None:
+            payload["arrivals"] = list(self.arrivals)
+        if self.latency is not None:
+            payload["latency"] = dict(vars(self.latency))
+        return payload
+
+
+class Topology:
+    """The seam of the one run path: what a plain and a replicated
+    cluster do differently, and nothing else.  A topology builds
+    :attr:`servers` (and the fault adapter they consult), says how
+    coordinators reach a site (:attr:`routing`: extra
+    :class:`~repro.cluster.coordinator.Coordinator` keywords), fetches
+    a logical site's committed history (``fetch_history(site,
+    timeout)``, ``None`` when unreachable) and builds the report.
+    Validation, wiring, vetting, scheduling, audit and post-mortem are
+    the runner's and exist once.
+    """
+
+    span = "cluster.run"
+    #: Metric families the runner resets before the run.
+    metric_prefixes: tuple[str, ...] = ("repro_cluster_",)
+    #: Shared logical clock stamped on wire events, when there is one.
+    clock = None
+
+    def __init__(
+        self, system: TransactionSystem, config: ClusterConfig, transport: Transport
+    ) -> None:
+        self.config = config
+        self.transport = transport
+        self.sites = tuple(range(1, system.database.sites + 1))
+        self.faults: NetworkFaultAdapter | None = None
+        self.servers: list[SiteServer] = []
+        self.routing: dict = {}
+
+    def server_knobs(self) -> dict:
+        """Constructor keywords every kind of site server takes."""
+        config = self.config
+        return {
+            "transport": self.transport,
+            "deadlock_policy": config.deadlock_policy,
+            "grant_timeout": config.grant_timeout,
+            "faults": self.faults,
+            "event_log": config.event_log,
+            "seed": config.seed,
+        }
+
+    async def close(self) -> None:
+        for server in self.servers:
+            await server.stop()
+
+    def report(self, **fields) -> ClusterReport:
+        return ClusterReport(**fields)
+
+    def span_attributes(self) -> dict:
+        """Topology-specific attributes of the finished run's span."""
+        return {}
+
+
+class SiteTopology(Topology):
+    """One plain :class:`SiteServer` per site; every coordinator shares
+    one :class:`SiteClientPool`."""
+
+    def __init__(self, system, config, transport) -> None:
+        super().__init__(system, config, transport)
+        if config.fault_plan is not None:
+            self.faults = NetworkFaultAdapter(config.fault_plan, event_log=config.event_log)
+        self.servers = [
+            SiteServer(site, peers=self.sites, **self.server_knobs())
+            for site in self.sites
+        ]
+        self.pool = SiteClientPool(
+            transport,
+            codec=protocol.codec_named(config.codec),
+            request_timeout=config.request_timeout,
+        )
+        self.routing = {"pool": self.pool}
+
+    async def fetch_history(self, site, timeout):
+        if not self.servers[site - 1].running:
+            return {}
+        return await _fetch_history(self.transport, site, timeout)
+
+    async def close(self) -> None:
+        await self.pool.close()
+        await super().close()
+
+
+async def _execute(workload: list[Transaction], topology: Topology) -> list[TxnOutcome]:
+    """Run one coordinator per *workload* instance: closed-loop behind
+    a *concurrency*-wide gate, or open-loop at the *arrivals* ticks."""
+    config, transport = topology.config, topology.transport
+    wire_codec = protocol.codec_named(config.codec)
+    arrivals = config.arrivals
+    gate = asyncio.Semaphore(config.concurrency)
+
+    async def start_one(index: int, tx: Transaction) -> TxnOutcome:
+        coordinator = Coordinator(
+            tx,
+            transport=transport,
+            age=index,
+            max_retries=config.max_retries,
+            request_timeout=config.request_timeout,
+            seed=config.seed,
+            codec=wire_codec,
+            batch=config.batch,
+            **topology.routing,
+        )
+        return await coordinator.run()
+
+    async def run_one(index: int, tx: Transaction) -> TxnOutcome:
+        if arrivals is not None:
+            # Open loop: wait for this instance's arrival tick,
+            # then submit unconditionally — offered load does
+            # not slow down when the cluster saturates.
+            if arrivals[index] > 0:
+                await transport.sleep(arrivals[index])
+            return await start_one(index, tx)
+        async with gate:
+            return await start_one(index, tx)
+
+    return list(await asyncio.gather(*(run_one(i, tx) for i, tx in enumerate(workload))))
+
+
+async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterReport:
+    """The one run path: vet, execute, collect site orders, audit.
+
+    Every run starts by resetting its topology's metric families, so
+    back-to-back runs in one process (benchmarks, tests) never
+    accumulate each other's counts.
+    """
+    config.validate(system)
+    topology_class: type[Topology] = SiteTopology
+    if config.replicas is not None:
+        # repro.replica is built on this module, so it is imported late.
+        from ..replica.runtime import ReplicaTopology as topology_class
+    event_log = config.event_log
+    if isinstance(config.recorder, FlightRecorder):
         # Not a truthiness check: an empty ring is falsy but attached.
-        ring: FlightRecorder | None = recorder
-    elif recorder:
-        ring = FlightRecorder()
+        ring: FlightRecorder | None = config.recorder
     else:
-        ring = None
-    if ring is not None:
-        distributed.WIRE.attach_recorder(ring)
-        if event_log is not None:
-            event_log.ring = ring
+        ring = FlightRecorder() if config.recorder else None
 
     started = time.perf_counter()
-    if isinstance(transport, Transport):
-        live_transport = transport
+    if isinstance(config.transport, Transport):
+        transport = config.transport
         transport_name = type(transport).__name__
-        own_transport = False
-    elif transport == "memory":
-        live_transport = MemoryTransport()
-        transport_name = "memory"
-        own_transport = True
-    elif transport == "tcp":
-        live_transport = TcpTransport()
-        transport_name = "tcp"
-        own_transport = True
     else:
-        raise ClusterError(f"unknown transport {transport!r} (memory, tcp, or a Transport)")
-    if latency is not None:
-        live_transport = LatencyTransport(live_transport, latency)
+        transport = MemoryTransport() if config.transport == "memory" else TcpTransport()
+        transport_name = config.transport
+    if config.latency is not None:
+        transport = LatencyTransport(transport, config.latency)
         transport_name = f"{transport_name}+latency"
 
-    with trace.span("cluster.run") as sp:
+    with trace.span(topology_class.span) as sp:
         if sp:
-            sp.set(
-                transport=transport_name,
-                sites=system.database.sites,
-                rounds=rounds,
-            )
+            sp.set(transport=transport_name, sites=system.database.sites, rounds=config.rounds)
+        gateway = config.gateway
         decision: GatewayDecision | None = None
-        own_gateway = False
-        if vet:
-            if gateway is None:
-                gateway = Gateway()
-                own_gateway = True
-            decision = gateway.vet(system)
-            mode = decision.mode
-        else:
-            mode = "unvetted"
-
-        faults = NetworkFaultAdapter(fault_plan, event_log=event_log)
-        sites = tuple(range(1, system.database.sites + 1))
-        servers = [
-            SiteServer(
-                site,
-                transport=live_transport,
-                peers=sites,
-                deadlock_policy=deadlock_policy,
-                grant_timeout=grant_timeout,
-                faults=faults if fault_plan is not None else None,
-                event_log=event_log,
-                seed=seed,
-            )
-            for site in sites
-        ]
-        wire_codec = protocol.codec_named(codec)
-        pool = SiteClientPool(
-            live_transport, codec=wire_codec, request_timeout=request_timeout
-        )
+        topology: Topology | None = None
+        for prefix in topology_class.metric_prefixes:
+            REGISTRY.reset(prefix=prefix)
+        if config.wire_metrics:
+            distributed.WIRE.enable_metrics()
+        if ring is not None:
+            distributed.WIRE.attach_recorder(ring)
+            if event_log is not None:
+                event_log.ring = ring
         try:
-            for server in servers:
+            if config.vet:
+                if gateway is None:
+                    gateway = Gateway()
+                decision = gateway.vet(system)
+            topology = topology_class(system, config, transport)
+            if event_log is not None:
+                # With a shared clock, wire events (send/recv) carry
+                # its tick, so the timeline lines up with lease ages
+                # and elections.
+                distributed.WIRE.attach(event_log, clock=topology.clock)
+            for server in topology.servers:
                 await server.start()
 
-            workload = _build_workload(system, rounds)
-            if arrivals is not None and len(arrivals) != len(workload):
-                raise ClusterError(
-                    f"arrivals must cover the whole workload: got "
-                    f"{len(arrivals)} start ticks for {len(workload)} "
-                    f"transaction instances"
-                )
-            gate = asyncio.Semaphore(concurrency)
+            workload = _build_workload(system, config.rounds)
+            outcomes = await _execute(workload, topology)
 
-            async def start_one(index: int, tx: Transaction) -> TxnOutcome:
-                coordinator = Coordinator(
-                    tx,
-                    transport=live_transport,
-                    age=index,
-                    max_retries=max_retries,
-                    request_timeout=request_timeout,
-                    seed=seed,
-                    codec=wire_codec,
-                    batch=batch,
-                    pool=pool,
-                )
-                return await coordinator.run()
-
-            async def run_one(index: int, tx: Transaction) -> TxnOutcome:
-                if arrivals is not None:
-                    # Open loop: wait for this instance's arrival tick,
-                    # then submit unconditionally — offered load does
-                    # not slow down when the cluster saturates.
-                    if arrivals[index] > 0:
-                        await live_transport.sleep(arrivals[index])
-                    return await start_one(index, tx)
-                async with gate:
-                    return await start_one(index, tx)
-
-            outcomes = list(
-                await asyncio.gather(*(run_one(i, tx) for i, tx in enumerate(workload)))
-            )
-
-            history_timeout = (
-                request_timeout if request_timeout is not None else HISTORY_TIMEOUT
-            )
+            timeout = config.request_timeout
+            history_timeout = HISTORY_TIMEOUT if timeout is None else timeout
             site_orders: dict[str, list[str]] = {}
             unreachable: list[int] = []
-            for server in servers:
-                if not server.running:
-                    continue
-                fetched = await _fetch_history(
-                    live_transport, server.site, timeout=history_timeout
-                )
+            for site in topology.sites:
+                fetched = await topology.fetch_history(site, history_timeout)
                 if fetched is None:
-                    unreachable.append(server.site)
+                    unreachable.append(site)
                     continue
                 for entity, order in fetched.items():
                     site_orders[entity] = order
 
-            messages = sum(server.processed for server in servers)
+            messages = sum(server.processed for server in topology.servers)
         finally:
-            await pool.close()
-            for server in servers:
-                await server.stop()
-            if own_transport:
-                await live_transport.close()
-            if own_gateway and gateway is not None:
+            if topology is not None:
+                await topology.close()
+            if not isinstance(config.transport, Transport):
+                await transport.close()
+            if gateway is not config.gateway:
                 gateway.close()
-            if wire_metrics:
+            if config.wire_metrics:
                 distributed.WIRE.disable_metrics()
             if ring is not None:
                 distributed.WIRE.detach_recorder()
@@ -479,27 +593,28 @@ async def run_cluster(
                 distributed.WIRE.detach()
 
         serializable = serializable_from_site_orders(site_orders)
-        witness = serial_witness_from_site_orders(site_orders) if serializable else None
-        report = ClusterReport(
+        report = topology.report(
             transport=transport_name,
             sites=system.database.sites,
-            mode=mode,
+            mode=decision.mode if decision is not None else "unvetted",
             transactions=len(workload),
             outcomes=outcomes,
             site_orders=site_orders,
             serializable=serializable,
-            serial_witness=witness,
+            serial_witness=(
+                serial_witness_from_site_orders(site_orders) if serializable else None
+            ),
             messages=messages,
-            dropped=faults.dropped,
+            dropped=topology.faults.dropped if topology.faults is not None else 0,
             wall_seconds=time.perf_counter() - started,
             gateway=decision,
             unreachable_sites=unreachable,
         )
         tally = ContentionTally()
-        for server in servers:
+        for server in topology.servers:
             tally.merge(server.insight)
         report.contention = tally.rows(limit=16)
-        destination = postmortem_dir or os.environ.get("REPRO_POSTMORTEM")
+        destination = config.postmortem_dir or os.environ.get("REPRO_POSTMORTEM")
         reason = postmortem_reason(report)
         if destination and reason is not None:
             active_trace = trace.trace_path()
@@ -510,39 +625,30 @@ async def run_cluster(
                 event_log=event_log,
                 trace_paths=(active_trace,) if active_trace else (),
                 reason=reason,
+                config=config.to_dict(),
             )
         if sp:
             sp.set(
                 committed=report.committed,
                 serializable=report.serializable,
+                **topology.span_attributes(),
             )
         return report
 
 
-def uvloop_available() -> bool:
-    """Is the optional ``uvloop`` event loop importable here?"""
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def run_sync(system: TransactionSystem, config: ClusterConfig) -> ClusterReport:
+    """Run *system* under a ready *config* from synchronous code (the
+    CLI, the arena); ``config.replicas`` picks the topology."""
+    return asyncio.run(_run(system, config))
 
 
-def run_cluster_sync(
-    system: TransactionSystem, *, use_uvloop: bool = False, **kwargs
-) -> ClusterReport:
-    """:func:`run_cluster` from synchronous code (CLI, benchmarks).
+async def run_cluster(system: TransactionSystem, **knobs) -> ClusterReport:
+    """Execute *rounds* copies of *system* on a live cluster; *knobs*
+    are :class:`ClusterConfig`'s fields (all defaults: plain site
+    servers on the memory transport, vetted, closed-loop)."""
+    return await _run(system, ClusterConfig(**knobs))
 
-    *use_uvloop* runs the cluster on `uvloop <https://github.com/
-    MagicStack/uvloop>`_ when that package is installed; absent, the
-    flag is ignored and the stdlib loop is used (nothing in the
-    runtime depends on it).
-    """
-    if use_uvloop and uvloop_available():
-        import uvloop
 
-        runner = getattr(uvloop, "run", None)
-        if runner is not None:
-            return runner(run_cluster(system, **kwargs))
-        uvloop.install()
+def run_cluster_sync(system: TransactionSystem, **kwargs) -> ClusterReport:
+    """:func:`run_cluster` from synchronous code (CLI, benchmarks)."""
     return asyncio.run(run_cluster(system, **kwargs))

@@ -608,14 +608,19 @@ def dump_postmortem(
     event_log=None,
     trace_paths: Iterable[str] = (),
     reason: str | None = None,
+    config: dict[str, Any] | None = None,
 ) -> str:
     """Write a post-mortem bundle into *directory* (created if needed):
     ``MANIFEST.json`` plus ``report.json`` / ``flight.jsonl`` /
     ``events.jsonl`` and copies of *trace_paths* under ``traces/``.
-    Returns the bundle path."""
+    *config* (``ClusterConfig.to_dict()``: seed, transport, fault plan,
+    ...) goes into the manifest so the bundle names the run that
+    produced it.  Returns the bundle path."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     manifest: dict[str, Any] = {"bundle": 1, "reason": reason}
+    if config is not None:
+        manifest["config"] = config
 
     if report is not None:
         payload = report.to_dict()
@@ -728,6 +733,18 @@ def render_postmortem(directory, *, tail: int = 20) -> str:
         f"post-mortem bundle {bundle['directory']}: "
         f"reason={manifest.get('reason', 'unknown')}"
     ]
+    config = manifest.get("config")
+    if config:
+        lines.append(
+            "config: "
+            + " ".join(
+                f"{key}={value}"
+                for key, value in config.items()
+                if value is not None and key not in ("fault_plan", "arrivals", "latency")
+            )
+        )
+        if config.get("fault_plan"):
+            lines.append(f"fault plan: {json.dumps(config['fault_plan'], sort_keys=True)}")
 
     report = bundle.get("report")
     if report:

@@ -1,7 +1,8 @@
-"""Boot a replicated cluster, run a workload, audit it, time failover.
+"""The replicated topology of the one cluster runner.
 
 :func:`run_replicated_cluster` is :func:`repro.cluster.runtime.
-run_cluster`'s replicated sibling: every logical site becomes a
+run_cluster` with :class:`ReplicaTopology` plugged into the runner's
+topology seam: every logical site becomes a
 :class:`~repro.replica.group.ReplicaGroup` of N
 :class:`~repro.replica.server.ReplicaServer` replicas sharing one
 :class:`~repro.replica.clock.LogicalClock`, coordinators route through
@@ -16,37 +17,11 @@ the leader kill to the new leader's first lock grant.
 from __future__ import annotations
 
 import asyncio
-import os
-import time
 from dataclasses import dataclass, field
 
 from ..core.schedule import TransactionSystem
-from ..core.transaction import Transaction
-from ..obs import distributed, trace
-from ..obs.events import EventLog
-from ..obs.insight import (
-    ContentionTally,
-    FlightRecorder,
-    dump_postmortem,
-    postmortem_reason,
-)
-from ..obs.metrics import REGISTRY
-from ..sim.analysis import (
-    serial_witness_from_site_orders,
-    serializable_from_site_orders,
-)
-from ..cluster import protocol
-from ..cluster.coordinator import Coordinator, TxnOutcome
-from ..cluster.gateway import Gateway, GatewayDecision
-from ..cluster.runtime import (
-    HISTORY_TIMEOUT,
-    ClusterError,
-    ClusterReport,
-    _build_workload,
-    _fetch_history,
-)
-from ..cluster.transport import MemoryTransport, TcpTransport, Transport, TransportError
-from ..faults.plan import FaultPlan
+from ..cluster.runtime import ClusterConfig, ClusterReport, Topology, _fetch_history, _run
+from ..cluster.transport import TransportError
 from .clock import LogicalClock
 from .faults import ReplicaFaultAdapter
 from .group import GroupRegistry, ReplicaGroup
@@ -101,337 +76,147 @@ class ReplicaReport(ClusterReport):
         return "\n".join(lines)
 
 
-async def run_replicated_cluster(
-    system: TransactionSystem,
-    *,
-    replicas: int = 3,
-    lease_ticks: int = 64,
-    election_timeout: float = 0.25,
-    replication_timeout: float = 0.5,
-    transport: str | Transport = "memory",
-    rounds: int = 1,
-    concurrency: int = 8,
-    deadlock_policy: str = "abort-youngest",
-    max_retries: int = 5,
-    seed: int = 0,
-    vet: bool = True,
-    fault_plan: FaultPlan | None = None,
-    event_log: EventLog | None = None,
-    grant_timeout: int | None = None,
-    request_timeout: float | None = None,
-    gateway: Gateway | None = None,
-    wire_metrics: bool = False,
-    codec: str = "json",
-    batch: bool = False,
-    recorder: FlightRecorder | bool = True,
-    postmortem_dir: str | None = None,
-) -> ReplicaReport:
-    """Execute *rounds* copies of *system* on a replicated cluster.
+class ReplicaTopology(Topology):
+    """Every logical site is a :class:`ReplicaGroup` on one shared
+    :class:`LogicalClock`; coordinators find the lease leader through
+    a :class:`LeaderResolver` (no client pool: failover re-dials are
+    per-transaction decisions)."""
 
-    Parameters follow :func:`repro.cluster.runtime.run_cluster`, plus
-    *replicas* per logical site, the group's *lease_ticks*, and the
-    wall-clock *election_timeout* / *replication_timeout* that bound
-    one vote or ship round-trip against a dead replica.  With any
-    fault plan, *request_timeout* is required: failover is driven by
-    clients timing out against the killed leader.  *codec* and *batch*
-    work as in :func:`run_cluster`; a batch refused by a follower gets
-    a batch-level ``not-leader`` and the coordinator replays its steps
-    through the single-step failover path, so batching composes with
-    leader kills.
+    span = "replica.run"
+    metric_prefixes = ("repro_cluster_", "repro_replica_")
 
-    Like :func:`run_cluster`, the run starts by resetting the
-    ``repro_cluster_*`` and ``repro_replica_*`` metrics so
-    back-to-back runs never accumulate each other's counts, and
-    *wire_metrics* turns on the per-stage wire-latency histograms.
-    *recorder* and *postmortem_dir* work as in :func:`run_cluster`:
-    the flight-recorder ring is on by default, and a bad ending dumps
-    a post-mortem bundle when a destination directory is configured
-    (argument or ``REPRO_POSTMORTEM``).
-    """
-    if rounds < 1:
-        raise ClusterError(f"need at least one round, got {rounds}")
-    if concurrency < 1:
-        raise ClusterError(f"need concurrency >= 1, got {concurrency}")
-    if replicas < 1:
-        raise ClusterError(f"need at least one replica per site, got {replicas}")
-    if fault_plan is not None:
-        fault_plan.validate_against(system)
-        if request_timeout is None:
-            raise ClusterError(
-                "replicated runs under a fault plan need request_timeout: "
-                "a killed leader answers nothing, and the client timeout "
-                "is what triggers re-resolution and failover"
+    def __init__(self, system, config, transport) -> None:
+        super().__init__(system, config, transport)
+        self.clock = LogicalClock()
+        self.registry = GroupRegistry()
+        self.groups = [
+            ReplicaGroup(
+                site, config.replicas, lease_ticks=config.lease_ticks, event_log=config.event_log
             )
-
-    REGISTRY.reset(prefix="repro_cluster_")
-    REGISTRY.reset(prefix="repro_replica_")
-    if wire_metrics:
-        distributed.WIRE.enable_metrics()
-    if isinstance(recorder, FlightRecorder):
-        # Not a truthiness check: an empty ring is falsy but attached.
-        ring: FlightRecorder | None = recorder
-    elif recorder:
-        ring = FlightRecorder()
-    else:
-        ring = None
-    if ring is not None:
-        distributed.WIRE.attach_recorder(ring)
-        if event_log is not None:
-            event_log.ring = ring
-
-    started = time.perf_counter()
-    if isinstance(transport, Transport):
-        live_transport = transport
-        transport_name = type(transport).__name__
-        own_transport = False
-    elif transport == "memory":
-        live_transport = MemoryTransport()
-        transport_name = "memory"
-        own_transport = True
-    elif transport == "tcp":
-        live_transport = TcpTransport()
-        transport_name = "tcp"
-        own_transport = True
-    else:
-        raise ClusterError(f"unknown transport {transport!r} (memory, tcp, or a Transport)")
-
-    with trace.span("replica.run") as sp:
-        if sp:
-            sp.set(
-                transport=transport_name,
-                sites=system.database.sites,
-                replicas=replicas,
-                rounds=rounds,
+            for site in self.sites
+        ]
+        for group in self.groups:
+            self.registry.add(group)
+        if config.fault_plan is not None:
+            self.faults = ReplicaFaultAdapter(
+                config.fault_plan,
+                registry=self.registry,
+                clock=self.clock,
+                event_log=config.event_log,
             )
-        decision: GatewayDecision | None = None
-        own_gateway = False
-        if vet:
-            if gateway is None:
-                gateway = Gateway()
-                own_gateway = True
-            decision = gateway.vet(system)
-            mode = decision.mode
-        else:
-            mode = "unvetted"
-
-        clock = LogicalClock()
-        if event_log is not None:
-            # Wire events (send/recv) carry the shared clock tick, so
-            # the timeline lines up with lease ages and elections.
-            distributed.WIRE.attach(event_log, clock=clock)
-        registry = GroupRegistry()
-        groups: list[ReplicaGroup] = []
-        for site in range(1, system.database.sites + 1):
-            group = ReplicaGroup(
-                site, replicas, lease_ticks=lease_ticks, event_log=event_log
-            )
-            registry.add(group)
-            groups.append(group)
-        all_addresses = tuple(a for g in groups for a in g.addresses)
-        faults = (
-            ReplicaFaultAdapter(
-                fault_plan, registry=registry, clock=clock, event_log=event_log
-            )
-            if fault_plan is not None
-            else None
-        )
-        servers = [
+        addresses = tuple(a for group in self.groups for a in group.addresses)
+        self.servers = [
             ReplicaServer(
                 group,
                 index,
-                transport=live_transport,
-                clock=clock,
-                peers=all_addresses,
-                deadlock_policy=deadlock_policy,
-                grant_timeout=grant_timeout,
-                faults=faults,
-                event_log=event_log,
-                seed=seed,
-                election_timeout=election_timeout,
-                replication_timeout=replication_timeout,
+                clock=self.clock,
+                peers=addresses,
+                election_timeout=config.election_timeout,
+                replication_timeout=config.replication_timeout,
+                **self.server_knobs(),
             )
-            for group in groups
-            for index in range(replicas)
+            for group in self.groups
+            for index in range(config.replicas)
         ]
         # A queried follower may campaign before answering, and one
         # campaign waits up to election_timeout on a dead peer's vote:
         # give leader queries comfortable headroom over that.
-        resolver = LeaderResolver(
-            live_transport,
-            {group.site: group.addresses for group in groups},
-            query_timeout=election_timeout * 3,
+        self.resolver = LeaderResolver(
+            transport,
+            {group.site: group.addresses for group in self.groups},
+            query_timeout=config.election_timeout * 3,
         )
-        wire_codec = protocol.codec_named(codec)
-        try:
-            for server in servers:
-                await server.start()
+        self.routing = {"resolver": self.resolver}
 
-            workload = _build_workload(system, rounds)
-            gate = asyncio.Semaphore(concurrency)
-
-            async def run_one(index: int, tx: Transaction) -> TxnOutcome:
-                async with gate:
-                    coordinator = Coordinator(
-                        tx,
-                        transport=live_transport,
-                        age=index,
-                        max_retries=max_retries,
-                        request_timeout=request_timeout,
-                        seed=seed,
-                        resolver=resolver,
-                        codec=wire_codec,
-                        batch=batch,
-                    )
-                    return await coordinator.run()
-
-            outcomes = list(
-                await asyncio.gather(*(run_one(i, tx) for i, tx in enumerate(workload)))
-            )
-
-            history_timeout = (
-                request_timeout if request_timeout is not None else HISTORY_TIMEOUT
-            )
-
-            async def fetch_site(site: int) -> dict[str, list[str]] | None:
-                """History from the site's *current* leader, chasing
-                one more failover if the leader dies under us."""
-                for _ in range(replicas + 1):
-                    try:
-                        address = await resolver.resolve(site)
-                    except TransportError:
-                        return None
-                    fetched = await _fetch_history(
-                        live_transport, address, timeout=history_timeout
-                    )
-                    if fetched is not None:
-                        return fetched
-                    resolver.invalidate(site)
+    async def fetch_history(self, site, timeout):
+        """History from the site's *current* leader, chasing one more
+        failover if the leader dies under us."""
+        for _ in range(self.config.replicas + 1):
+            try:
+                address = await self.resolver.resolve(site)
+            except TransportError:
                 return None
+            fetched = await _fetch_history(self.transport, address, timeout)
+            if fetched is not None:
+                return fetched
+            self.resolver.invalidate(site)
+        return None
 
-            site_orders: dict[str, list[str]] = {}
-            unreachable: list[int] = []
-            for group in groups:
-                fetched = await fetch_site(group.site)
-                if fetched is None:
-                    unreachable.append(group.site)
-                    continue
-                for entity, order in fetched.items():
-                    site_orders[entity] = order
-
-            messages = sum(server.processed for server in servers)
-        finally:
-            for server in servers:
-                await server.stop()
-            if own_transport:
-                await live_transport.close()
-            if own_gateway and gateway is not None:
-                gateway.close()
-            if wire_metrics:
-                distributed.WIRE.disable_metrics()
-            if ring is not None:
-                distributed.WIRE.detach_recorder()
-                if event_log is not None:
-                    event_log.ring = None
-            if event_log is not None:
-                distributed.WIRE.detach()
-
+    def _recovery(self) -> list[dict]:
+        """One entry per leader kill, with the logical steps from the
+        kill to the replacement leader's first lock grant."""
         recovery: list[dict] = []
-        if faults is not None:
-            for kill in faults.kills:
-                group = registry.group(kill["site"])
-                successors = [
-                    entry
-                    for entry in group.elections
-                    if entry["elected_at"] >= kill["killed_at"]
-                    and entry["address"] != kill["victim"]
-                ]
-                # The replacement that *served*: elections can churn
-                # briefly after a kill (a racing candidate deposes the
-                # first winner before it grants anything), so recovery
-                # ends at the earliest successor grant, whichever
-                # epoch delivered it.
-                replacement = min(
-                    (e for e in successors if e["first_grant_at"] is not None),
-                    key=lambda e: e["first_grant_at"],
-                    default=successors[0] if successors else None,
+        for kill in self.faults.kills if self.faults is not None else ():
+            group = self.registry.group(kill["site"])
+            successors = [
+                entry
+                for entry in group.elections
+                if entry["elected_at"] >= kill["killed_at"]
+                and entry["address"] != kill["victim"]
+            ]
+            # The replacement that *served*: elections can churn
+            # briefly after a kill (a racing candidate deposes the
+            # first winner before it grants anything), so recovery
+            # ends at the earliest successor grant, whichever
+            # epoch delivered it.
+            replacement = min(
+                (e for e in successors if e["first_grant_at"] is not None),
+                key=lambda e: e["first_grant_at"],
+                default=successors[0] if successors else None,
+            )
+            item = dict(kill)
+            if replacement is not None:
+                item.update(
+                    epoch=replacement["epoch"],
+                    leader=replacement["address"],
+                    elected_at=replacement["elected_at"],
+                    first_grant_at=replacement["first_grant_at"],
                 )
-                item = dict(kill)
-                if replacement is not None:
-                    item.update(
-                        epoch=replacement["epoch"],
-                        leader=replacement["address"],
-                        elected_at=replacement["elected_at"],
-                        first_grant_at=replacement["first_grant_at"],
-                    )
-                first_grant = item.get("first_grant_at")
-                item["recovery_steps"] = (
-                    first_grant - kill["killed_at"] if first_grant is not None else None
-                )
-                recovery.append(item)
+            first_grant = item.get("first_grant_at")
+            item["recovery_steps"] = (
+                first_grant - kill["killed_at"] if first_grant is not None else None
+            )
+            recovery.append(item)
+        return recovery
 
-        serializable = serializable_from_site_orders(site_orders)
-        witness = serial_witness_from_site_orders(site_orders) if serializable else None
-        report = ReplicaReport(
-            transport=transport_name,
-            sites=system.database.sites,
-            mode=mode,
-            transactions=len(workload),
-            outcomes=outcomes,
-            site_orders=site_orders,
-            serializable=serializable,
-            serial_witness=witness,
-            messages=messages,
-            dropped=faults.dropped if faults is not None else 0,
-            wall_seconds=time.perf_counter() - started,
-            gateway=decision,
-            unreachable_sites=unreachable,
-            replicas=replicas,
-            lease_ticks=lease_ticks,
-            failovers=sum(group.failovers for group in groups),
+    def report(self, **fields) -> ReplicaReport:
+        return ReplicaReport(
+            **fields,
+            replicas=self.config.replicas,
+            lease_ticks=self.config.lease_ticks,
+            failovers=sum(group.failovers for group in self.groups),
             elections=[
                 {"site": group.site, **entry}
-                for group in groups
+                for group in self.groups
                 for entry in group.elections
             ],
-            recovery=recovery,
-            clock_end=clock.now,
+            recovery=self._recovery(),
+            clock_end=self.clock.now,
         )
-        tally = ContentionTally()
-        for server in servers:
-            tally.merge(server.insight)
-        report.contention = tally.rows(limit=16)
-        destination = postmortem_dir or os.environ.get("REPRO_POSTMORTEM")
-        reason = postmortem_reason(report)
-        if destination and reason is not None:
-            active_trace = trace.trace_path()
-            report.postmortem = dump_postmortem(
-                destination,
-                report=report,
-                recorder=ring,
-                event_log=event_log,
-                trace_paths=(active_trace,) if active_trace else (),
-                reason=reason,
-            )
-        if sp:
-            sp.set(
-                committed=report.committed,
-                serializable=report.serializable,
-                failovers=report.failovers,
-            )
-        return report
+
+    def span_attributes(self) -> dict:
+        return {
+            "replicas": self.config.replicas,
+            "failovers": sum(group.failovers for group in self.groups),
+        }
 
 
-def run_replicated_sync(
-    system: TransactionSystem, *, use_uvloop: bool = False, **kwargs
+async def run_replicated_cluster(
+    system: TransactionSystem, *, replicas: int = 3, **knobs
 ) -> ReplicaReport:
+    """:func:`repro.cluster.runtime.run_cluster` with every site a
+    group of *replicas*; *knobs* are the other fields of
+    :class:`~repro.cluster.runtime.ClusterConfig`.
+
+    With any fault plan, *request_timeout* is required: failover is
+    driven by clients timing out against the killed leader.  A batch
+    refused by a follower gets a batch-level ``not-leader`` and the
+    coordinator replays its steps through the single-step failover
+    path, so batching composes with leader kills.
+    """
+    return await _run(system, ClusterConfig(replicas=replicas, **knobs))
+
+
+def run_replicated_sync(system: TransactionSystem, **kwargs) -> ReplicaReport:
     """:func:`run_replicated_cluster` from synchronous code."""
-    from ..cluster.runtime import uvloop_available
-
-    if use_uvloop and uvloop_available():
-        import uvloop
-
-        runner = getattr(uvloop, "run", None)
-        if runner is not None:
-            return runner(run_replicated_cluster(system, **kwargs))
-        uvloop.install()
     return asyncio.run(run_replicated_cluster(system, **kwargs))

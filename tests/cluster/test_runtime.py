@@ -6,7 +6,9 @@ import pytest
 
 from repro.cluster import ClusterError, run_cluster_sync
 from repro.cluster.runtime import run_cluster
+from repro.errors import ReproError
 from repro.faults import FaultPlan, GrantDelay, MessageDrop, SiteCrash
+from repro.obs.distributed import WIRE
 from repro.obs.events import EventLog
 from repro.workloads import figure_1
 
@@ -234,6 +236,22 @@ class TestConfiguration:
     def test_bad_transport_rejected(self, deadlock_prone_system):
         with pytest.raises(ClusterError):
             run_cluster_sync(deadlock_prone_system, transport="carrier-pigeon")
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"transport": "bogus"}, {"codec": "bogus"}, {"rounds": 0}, {"arrivals": [0]}],
+    )
+    def test_rejected_config_leaves_wire_idle(self, deadlock_prone_system, knobs):
+        # Validation runs before any process-global state is touched:
+        # a rejected run must not leave wire metrics on or a flight
+        # recorder attached for the rest of the process.
+        with pytest.raises(ReproError):
+            run_cluster_sync(
+                deadlock_prone_system, wire_metrics=True, event_log=EventLog(), **knobs
+            )
+        assert not WIRE.metrics_enabled
+        assert WIRE.recorder is None and WIRE.event_log is None
+        assert not WIRE.active
 
     def test_unvetted_mode(self, deadlock_prone_system):
         report = run_cluster_sync(deadlock_prone_system, vet=False, seed=0)

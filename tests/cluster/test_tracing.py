@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import run_cluster_sync
+from repro.faults import FaultPlan, MessageDrop
 from repro.obs import trace
 from repro.obs.distributed import WIRE, merge_traces, trace_trees
 from repro.obs.events import EventLog
@@ -101,6 +102,24 @@ class TestWireMetrics:
             )
             counts.append(total_messages())
         assert counts[0] == counts[1]
+
+    def test_drop_counter_survives_a_second_run(self, deadlock_prone_system):
+        # The per-run registry reset must not orphan the drop counter:
+        # every run's drops land in the registry, not only the first's.
+        plan = FaultPlan(message_drops=(MessageDrop(site=1, at=2, until=8),))
+        for _ in range(2):
+            report = run_cluster_sync(
+                deadlock_prone_system,
+                rounds=2,
+                seed=3,
+                max_retries=16,
+                fault_plan=plan,
+                request_timeout=0.2,
+            )
+            assert report.dropped > 0
+            metric = REGISTRY.get("repro_cluster_messages_dropped_total")
+            assert metric is not None
+            assert metric.value == report.dropped
 
     def test_disabled_run_creates_no_wire_metrics(self, deadlock_prone_system):
         run_cluster_sync(

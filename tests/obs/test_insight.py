@@ -338,6 +338,16 @@ class TestPostmortem:
             "partial-commit",
             "non-serializable",
         )
+        # The bundle names the run that produced it.
+        config = loaded["manifest"]["config"]
+        assert config["seed"] == 5 and config["transport"] == "memory"
+        assert config["rounds"] == 1 and config["max_retries"] == 0
+        assert config["request_timeout"] == 0.5 and config["replicas"] is None
+        assert config["fault_plan"] == plan.to_dict()
+        text = render_postmortem(report.postmortem)
+        (line,) = [ln for ln in text.splitlines() if ln.startswith("config: ")]
+        assert "transport=memory" in line and "seed=5" in line
+        assert "fault plan:" in text
 
     def test_clean_run_writes_nothing(self, tmp_path, contended_system):
         report = run_cluster_sync(

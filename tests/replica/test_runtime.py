@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.cluster import LatencyMatrix
 from repro.cluster.runtime import ClusterError
+from repro.errors import ReproError
 from repro.faults.plan import FaultPlan, SiteCrash
+from repro.obs.distributed import WIRE
 from repro.replica import ReplicaReport, run_replicated_sync
 
 
@@ -91,3 +94,24 @@ class TestValidation:
     def test_replicas_must_be_positive(self, transfer_system):
         with pytest.raises(ClusterError, match="replica"):
             run_replicated_sync(transfer_system, replicas=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"arrivals": [0, 3]},
+            {"latency": LatencyMatrix(regions={1: "us"}, delay_ticks={})},
+        ],
+    )
+    def test_traffic_knobs_are_plain_only(self, transfer_system, knobs):
+        with pytest.raises(ClusterError, match="cannot be combined with replicas"):
+            run_replicated_sync(transfer_system, replicas=3, **knobs)
+
+    @pytest.mark.parametrize(
+        "knobs", [{"transport": "bogus"}, {"codec": "bogus"}, {"replicas": 0}]
+    )
+    def test_rejected_config_leaves_wire_idle(self, transfer_system, knobs):
+        with pytest.raises(ReproError):
+            run_replicated_sync(transfer_system, wire_metrics=True, **knobs)
+        assert not WIRE.metrics_enabled
+        assert WIRE.recorder is None
+        assert not WIRE.active

@@ -15,6 +15,7 @@ from .closure import (
     is_closed,
 )
 from .dgraph import (
+    PairLockOrder,
     d_graph,
     d_graph_of_total_orders,
     dominators_of,
@@ -64,6 +65,7 @@ __all__ = [
     "ClosureResult",
     "DistributedDatabase",
     "GeometricPicture",
+    "PairLockOrder",
     "Rectangle",
     "SafetyVerdict",
     "Schedule",

@@ -17,7 +17,7 @@ two-site systems (Theorem 2).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ..graphs import (
     DiGraph,
@@ -26,6 +26,7 @@ from ..graphs import (
     is_strongly_connected,
     some_dominator as _some_dominator,
 )
+from .fastcheck import _lock_tables
 from .step import Step
 from .transaction import Transaction
 
@@ -41,63 +42,111 @@ def shared_locked_entities(first: Transaction, second: Transaction) -> list[str]
     ]
 
 
+class PairLockOrder:
+    """How a pair orders locks before unlocks on its shared entities,
+    read off the two transitive closures once and kept as bitsets.
+
+    ``entities`` is ``V`` of Definition 1; for ``x = entities[i]``,
+    ``before1[i]`` is ``{y ≠ x : Lx precedes Uy in T1}`` and
+    ``before2[i]`` the same in ``T2``, as bitsets over positions in
+    ``entities``.  ``D(T1, T2)`` and the realizability of a schedule bit
+    vector (DESIGN.md §2.3) are both functions of these ``2k`` ints.
+    """
+
+    def __init__(self, first: Transaction, second: Transaction) -> None:
+        self.entities = shared_locked_entities(first, second)
+        self.before1 = first.locks_before_unlocks(self.entities)
+        self.before2 = second.locks_before_unlocks(self.entities)
+        self._bit = {
+            entity: 1 << position
+            for position, entity in enumerate(self.entities)
+        }
+
+    def mask(self, members: Iterable[str]) -> int:
+        """The bitset of an entity set."""
+        bits = 0
+        for entity in members:
+            bits |= self._bit[entity]
+        return bits
+
+    def d_graph(self) -> DiGraph:
+        """``D(T1, T2)``: ``(x, y) ∈ A`` iff ``y ∈ before1[x]`` and
+        ``x ∈ before2[y]``.  Nodes in ``V`` order, arcs tail-major with
+        heads ascending in ``V`` order."""
+        entities = self.entities
+        after2 = [0] * len(entities)  # after2[x] = {y : x ∈ before2[y]}
+        for y, row in enumerate(self.before2):
+            for x in _positions(row):
+                after2[x] |= 1 << y
+        graph = DiGraph(entities)
+        for x, (row, column) in enumerate(zip(self.before1, after2)):
+            for y in _positions(row & column):
+                graph.add_arc(entities[x], entities[y])
+        return graph
+
+    def realizable(self, zeros: int) -> bool:
+        """Is the bit vector with ``b_x = 0`` exactly on *zeros* (a
+        bitset, see :meth:`mask`) realizable, i.e. is
+        ``T1 ∪ T2 ∪ arcs(b)`` acyclic?
+
+        ``T1`` and ``T2`` are disjoint and acyclic, so a cycle must
+        alternate ``U1x → L2x ⇝ U2y → L1y ⇝ U1x' …`` with ``b_x = 0``,
+        ``b_y = 1``: it exists iff the digraph on ``V`` with ``x → y``
+        for ``y ∈ before2[x]`` (``b_x = 0, b_y = 1``) and ``y → x`` for
+        ``x ∈ before1[y]`` has one.  Decided by peeling sinks (nodes with
+        no live successor): ``O(k)`` bitset operations per round.
+        """
+        alive = (1 << len(self.entities)) - 1
+        ones = alive & ~zeros
+        pending = [
+            (1 << x, row2 & ones if zeros >> x & 1 else row1 & zeros)
+            for x, (row1, row2) in enumerate(zip(self.before1, self.before2))
+        ]
+        while pending:
+            blocked = [node for node in pending if node[1] & alive]
+            if len(blocked) == len(pending):
+                return False
+            alive = 0
+            for bit, _ in blocked:
+                alive |= bit
+            pending = blocked
+        return True
+
+
+def _positions(bits: int) -> Iterator[int]:
+    """The set bit positions of *bits*, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def d_graph(first: Transaction, second: Transaction) -> DiGraph:
     """Build ``D(T1, T2)`` per Definition 1 (no self-loops).
 
-    Cost: ``O(k^2)`` precedence queries over ``k`` shared entities, each
-    O(1) after the transactions' transitive closures are built — within
-    the ``O(n^2)`` bound of Corollary 1.
+    Cost: ``O(k^2)`` bit tests over ``k`` shared entities on the closure
+    rows the transactions already hold — within the ``O(n^2)`` bound of
+    Corollary 1.
     """
-    entities = shared_locked_entities(first, second)
-    graph = DiGraph(entities)
-    for x in entities:
-        lock1_x = first.lock_step(x)
-        unlock2_x = second.unlock_step(x)
-        for y in entities:
-            if x == y:
-                continue
-            unlock1_y = first.unlock_step(y)
-            lock2_y = second.lock_step(y)
-            if first.precedes(lock1_x, unlock1_y) and second.precedes(
-                lock2_y, unlock2_x
-            ):
-                graph.add_arc(x, y)
-    return graph
+    return PairLockOrder(first, second).d_graph()
 
 
 def d_graph_of_total_orders(
     t1: Sequence[Step], t2: Sequence[Step]
 ) -> DiGraph:
     """``D(t1, t2)`` for two total orders given as step sequences."""
-    pos1 = {step: index for index, step in enumerate(t1)}
-    pos2 = {step: index for index, step in enumerate(t2)}
-
-    def lock_pair(pos: dict[Step, int], entity: str):
-        lock = next(
-            (s for s in pos if s.is_lock and s.entity == entity), None
-        )
-        unlock = next(
-            (s for s in pos if s.is_unlock and s.entity == entity), None
-        )
-        return lock, unlock
-
-    entities1 = {s.entity for s in t1 if s.is_lock}
-    entities2 = {s.entity for s in t2 if s.is_lock}
-    shared = [e for e in dict.fromkeys(s.entity for s in t1) if e in entities1 and e in entities2]
+    pairs1 = _lock_tables(t1)
+    pairs2 = _lock_tables(t2)
+    shared = [
+        entity
+        for entity in dict.fromkeys(step.entity for step in t1)
+        if entity in pairs1 and entity in pairs2
+    ]
     graph = DiGraph(shared)
-    pairs1 = {e: lock_pair(pos1, e) for e in shared}
-    pairs2 = {e: lock_pair(pos2, e) for e in shared}
     for x in shared:
+        lock1_x, unlock2_x = pairs1[x][0], pairs2[x][1]
         for y in shared:
-            if x == y:
-                continue
-            lock1_x, _ = pairs1[x]
-            _, unlock1_y = pairs1[y]
-            lock2_y, _ = pairs2[y]
-            _, unlock2_x = pairs2[x]
-            if None in (lock1_x, unlock1_y, lock2_y, unlock2_x):
-                continue
-            if pos1[lock1_x] < pos1[unlock1_y] and pos2[lock2_y] < pos2[unlock2_x]:
+            if x != y and lock1_x < pairs1[y][1] and pairs2[y][0] < unlock2_x:
                 graph.add_arc(x, y)
     return graph
 

@@ -26,7 +26,9 @@ The exact decider implements the bit-vector argument from Theorem 1's
 proof, run in reverse (DESIGN.md §2.3): a pair system is unsafe iff some
 *mixed* bit vector ``b`` over the shared entities is realizable, i.e. the
 digraph ``T1 ∪ T2 ∪ arcs(b)`` is acyclic, where ``arcs(b)`` orders, per
-entity, the earlier transaction's unlock before the later one's lock.
+entity, the earlier transaction's unlock before the later one's lock —
+tested on the ``k`` shared entities, not the ``n`` steps
+(:meth:`~repro.core.dgraph.PairLockOrder.realizable`).
 Realizability forces ``b`` to be monotone along ``D(T1, T2)``, so only
 zero-sets that are **dominators** (Definition 2) need enumeration — the
 same objects the paper's Theorem 3 reduction manipulates.
@@ -40,11 +42,10 @@ from typing import Literal
 
 from ..errors import CertificateError, TransactionError
 from ..graphs import DiGraph, is_strongly_connected, topological_sort
-from ..graphs.topo import CycleError
 from ..obs import metrics, trace
 from .certificates import UnsafenessCertificate, certificate_from_dominator
 from .closure import ClosureContradiction
-from .dgraph import d_graph, dominators_of, shared_locked_entities
+from .dgraph import PairLockOrder, d_graph, dominators_of
 from .schedule import (
     Schedule,
     ScheduledStep,
@@ -176,50 +177,54 @@ def is_safe_two_site(first: Transaction, second: Transaction) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _combined_step_graph(
-    first: Transaction, second: Transaction
-) -> DiGraph:
-    """Disjoint union of the two step posets over ScheduledStep nodes."""
-    graph = DiGraph()
-    for tx in (first, second):
-        for step in tx.steps:
-            graph.add_node(ScheduledStep(tx.name, step))
-        for before, after in tx.poset().arcs():
-            graph.add_arc(
-                ScheduledStep(tx.name, before), ScheduledStep(tx.name, after)
-            )
-    return graph
-
-
-def _realizes_bits(
-    first: Transaction,
-    second: Transaction,
-    base_graph: DiGraph,
-    bits: dict[str, int],
-) -> Schedule | None:
-    """A legal schedule realizing *bits*, or ``None`` if unrealizable.
+def realizing_schedule(
+    first: Transaction, second: Transaction, bits: dict[str, int]
+) -> Schedule:
+    """The legal schedule realizing the bit vector *bits* over the
+    shared entities: the insertion-order topological sort of
+    ``T1 ∪ T2 ∪ arcs(bits)``.
 
     ``bits[x] = 0`` ⇒ ``U1x`` before ``L2x`` (transaction 1 first);
-    ``bits[x] = 1`` ⇒ ``U2x`` before ``L1x``.
+    ``bits[x] = 1`` ⇒ ``U2x`` before ``L1x``.  Steps are numbered
+    ``T1`` then ``T2`` in insertion order, so the sort runs on ints and
+    only the emitted order is turned back into scheduled steps.  Raises
+    :class:`~repro.graphs.CycleError` when *bits* is not realizable
+    (:meth:`~repro.core.dgraph.PairLockOrder.realizable` tells, far
+    cheaper).
     """
-    graph = base_graph.copy()
+    scheduled: list[ScheduledStep] = []
+    arcs: list[tuple[int, int]] = []
+    numbers = []
+    for tx in (first, second):
+        number = {
+            step: len(scheduled) + offset
+            for offset, step in enumerate(tx.steps)
+        }
+        scheduled.extend(ScheduledStep(tx.name, step) for step in number)
+        arcs.extend(
+            (number[before], number[after])
+            for before, after in tx.poset().arcs()
+        )
+        numbers.append(number)
+    number1, number2 = numbers
     for entity, bit in bits.items():
         if bit == 0:
-            graph.add_arc(
-                ScheduledStep(first.name, first.unlock_step(entity)),
-                ScheduledStep(second.name, second.lock_step(entity)),
+            arcs.append(
+                (
+                    number1[first.unlock_step(entity)],
+                    number2[second.lock_step(entity)],
+                )
             )
         else:
-            graph.add_arc(
-                ScheduledStep(second.name, second.unlock_step(entity)),
-                ScheduledStep(first.name, first.lock_step(entity)),
+            arcs.append(
+                (
+                    number2[second.unlock_step(entity)],
+                    number1[first.lock_step(entity)],
+                )
             )
-    try:
-        order = topological_sort(graph)
-    except CycleError:
-        return None
+    order = topological_sort(DiGraph(range(len(scheduled)), arcs))
     system = TransactionSystem([first, second])
-    return Schedule(system, order)
+    return Schedule(system, [scheduled[position] for position in order])
 
 
 @_traced_verdict("safety.exact")
@@ -236,7 +241,8 @@ def decide_safety_exact(
     Worst-case exponential in the number of SCCs of ``D`` — necessarily
     so unless P = NP (Theorem 3).
     """
-    shared = shared_locked_entities(first, second)
+    order = PairLockOrder(first, second)
+    shared = order.entities
     if len(shared) < 2:
         return SafetyVerdict(
             safe=True,
@@ -247,7 +253,7 @@ def decide_safety_exact(
             ),
         )
     with trace.span("safety.d_graph") as sp:
-        graph = d_graph(first, second)
+        graph = order.d_graph()
         connected = is_strongly_connected(graph)
         if sp:
             sp.set(shared_entities=len(shared), strongly_connected=connected)
@@ -258,22 +264,30 @@ def decide_safety_exact(
             detail="D(T1, T2) is strongly connected",
         )
     with trace.span("safety.dominators") as sp:
-        base = _combined_step_graph(first, second)
         checked = 0
-        realizable: Schedule | None = None
         found: frozenset | None = None
-        for dominator in dominators_of(graph, limit=dominator_limit):
+        truncated = False
+        # One dominator past the limit is asked for and never tested:
+        # its existence is what tells a cut-off search from a finished one.
+        for dominator in dominators_of(
+            graph,
+            limit=None if dominator_limit is None else dominator_limit + 1,
+        ):
+            if checked == dominator_limit:
+                truncated = True
+                break
             checked += 1
-            bits = {
-                entity: 0 if entity in dominator else 1 for entity in shared
-            }
-            schedule = _realizes_bits(first, second, base, bits)
-            if schedule is not None:
-                realizable, found = schedule, dominator
+            if order.realizable(order.mask(dominator)):
+                found = dominator
                 break
         if sp:
             sp.set(dominators_checked=checked, realizable=found is not None)
-    if realizable is not None:
+    if found is not None:
+        realizable = realizing_schedule(
+            first,
+            second,
+            {entity: 0 if entity in found else 1 for entity in shared},
+        )
         assert not realizable.is_serializable(), (
             "realizable mixed bit vector must yield a "
             "non-serializable schedule"
@@ -287,7 +301,7 @@ def decide_safety_exact(
             ),
             witness=realizable,
         )
-    if dominator_limit is not None and checked >= dominator_limit:
+    if truncated:
         raise TransactionError(
             f"dominator enumeration hit its limit ({dominator_limit}) "
             "before exhausting the search; safety is undecided"
@@ -373,29 +387,29 @@ def decide_safety_exact_naive(
     ancestor-closed zero-sets of ``D(T1, T2)``, the naive one every
     subset.  Verdicts are always identical (tested).
     """
-    shared = shared_locked_entities(first, second)
+    order = PairLockOrder(first, second)
+    shared = order.entities
     if len(shared) < 2:
         return SafetyVerdict(
             safe=True,
             method="trivial",
             detail="fewer than two shared entities",
         )
-    base = _combined_step_graph(first, second)
+    everything = (1 << len(shared)) - 1
     checked = 0
-    for mask in range(1, (1 << len(shared)) - 1):  # mixed vectors only
-        bits = {
-            entity: (mask >> position) & 1
-            for position, entity in enumerate(shared)
-        }
+    for ones in range(1, everything):  # mixed vectors only
         # zero-set = entities with bit 0; any mixed vector qualifies.
         checked += 1
-        schedule = _realizes_bits(first, second, base, bits)
-        if schedule is not None:
+        if order.realizable(everything ^ ones):
+            bits = {
+                entity: (ones >> position) & 1
+                for position, entity in enumerate(shared)
+            }
             return SafetyVerdict(
                 safe=False,
                 method="exact-bit-vector",
                 detail=f"naive enumeration: vector #{checked} realizable",
-                witness=schedule,
+                witness=realizing_schedule(first, second, bits),
             )
     return SafetyVerdict(
         safe=True,

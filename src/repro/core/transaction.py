@@ -67,6 +67,17 @@ class Transaction:
         self._unlock_steps = {
             step.entity: step for step in self._steps if step.is_unlock
         }
+        # What Definition 1 asks of a transaction, kept as ints: the
+        # closure row of each ``Lx`` and the row bit of each ``Ux``.
+        closure = self._poset.closure()
+        self._lock_rows = {
+            entity: closure.row(step)
+            for entity, step in self._lock_steps.items()
+        }
+        self._unlock_bits = {
+            entity: 1 << closure.position(step)
+            for entity, step in self._unlock_steps.items()
+        }
 
     # ------------------------------------------------------------------
     # Validation of the paper's constraints
@@ -194,6 +205,23 @@ class Transaction:
     def locked_entities(self) -> list[str]:
         """Entities this transaction locks (and therefore updates)."""
         return list(self._lock_steps)
+
+    def locks_before_unlocks(self, entities: Sequence[str]) -> list[int]:
+        """For each ``x`` of *entities* (all locked here), the set
+        ``{y ≠ x : Lx precedes Uy}`` as a bitset over positions in
+        *entities* — one AND of two cached ints per ``(x, y)``, no step
+        is hashed.  Both halves of Definition 1's arc condition and the
+        exact decider's realizability test read these sets."""
+        unlock_bits = [self._unlock_bits[entity] for entity in entities]
+        before = []
+        for position, entity in enumerate(entities):
+            row = self._lock_rows[entity]
+            members = 0
+            for other, bit in enumerate(unlock_bits):
+                if row & bit:
+                    members |= 1 << other
+            before.append(members & ~(1 << position))
+        return before
 
     def update_steps(self, entity: str | None = None) -> list[Step]:
         """Update steps, optionally restricted to one entity."""

@@ -54,6 +54,16 @@ class TransitiveClosure:
         """True iff there is a non-empty path from *a* to *b*."""
         return bool(self._masks[self._index[a]] >> self._index[b] & 1)
 
+    def row(self, a: Hashable) -> int:
+        """The packed reachability row of *a*: bit ``position(b)`` is set
+        iff *a* strictly reaches *b*.  Lets callers that ask the same
+        rows many questions (``D(T1, T2)``) work on ints, not nodes."""
+        return self._masks[self._index[a]]
+
+    def position(self, a: Hashable) -> int:
+        """The bit position of *a* in every :meth:`row`."""
+        return self._index[a]
+
     def descendants(self, a: Hashable) -> set[Hashable]:
         """All nodes strictly reachable from *a*."""
         mask = self._masks[self._index[a]]

@@ -65,6 +65,10 @@ class Poset:
             return False
         return self._closure.reaches(a, b)
 
+    def closure(self) -> TransitiveClosure:
+        """The strict-order reachability oracle (packed bitset rows)."""
+        return self._closure
+
     def comparable(self, a: Hashable, b: Hashable) -> bool:
         """True iff ``a < b`` or ``b < a``."""
         return self.precedes(a, b) or self.precedes(b, a)

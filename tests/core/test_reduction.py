@@ -132,15 +132,13 @@ class TestBiconditional:
         """The fine-grained correspondence: a dominator yields an unsafe
         schedule iff it is desirable, and desirable dominators map onto
         clause-satisfying (partial) assignments."""
-        from repro.core.safety import _combined_step_graph, _realizes_bits
+        from repro.core import PairLockOrder
         from repro.graphs import dominators
 
-        base = _combined_step_graph(fig8.first, fig8.second)
-        shared = fig8.d_expected.nodes()
+        order = PairLockOrder(fig8.first, fig8.second)
         for dominator in dominators(fig8.d_expected):
-            bits = {e: 0 if e in dominator else 1 for e in shared}
-            schedule = _realizes_bits(fig8.first, fig8.second, base, bits)
-            assert (schedule is not None) == fig8.is_desirable(dominator)
+            realizable = order.realizable(order.mask(dominator))
+            assert realizable == fig8.is_desirable(dominator)
 
 
 class TestPropagateUnits:

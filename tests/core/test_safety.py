@@ -19,6 +19,7 @@ from repro.core import (
 from repro.core.reduction import reduce_cnf_to_pair
 from repro.core.safety import sites_of_pair
 from repro.errors import TransactionError
+from repro.logic import CnfFormula
 from repro.workloads import (
     figure_1,
     figure_3,
@@ -150,12 +151,43 @@ class TestExactDecider:
         verdict = decide_safety_exact(*system.pair())
         assert verdict.safe and verdict.method == "trivial"
 
-    def test_dominator_limit_raises_when_hit(self, simple_unsafe_pair):
-        first, second = simple_unsafe_pair.pair()
-        # limit=0 would return unsafe before the limit on this instance;
-        # build a SAFE multi-dominator system instead:
-        verdict = decide_safety_exact(first, second, dominator_limit=10)
-        assert not verdict.safe  # found witness before limit
+    @pytest.fixture(scope="class")
+    def safe_256_dominator_pair(self):
+        """An unsatisfiable formula's reduction: safe, and only after all
+        256 dominators of ``D`` have been tested."""
+        artifacts = reduce_cnf_to_pair(
+            CnfFormula.parse(
+                "(p | y1) & (p | ~y1) & (q | y2) & (q | ~y2) & (~p | ~q)"
+            )
+        )
+        return artifacts.first, artifacts.second
+
+    def test_dominator_limit_below_the_count_raises(
+        self, safe_256_dominator_pair
+    ):
+        with pytest.raises(TransactionError, match="safety is undecided"):
+            decide_safety_exact(*safe_256_dominator_pair, dominator_limit=255)
+
+    def test_dominator_limit_equal_to_the_count_decides_safe(
+        self, safe_256_dominator_pair
+    ):
+        verdict = decide_safety_exact(
+            *safe_256_dominator_pair, dominator_limit=256
+        )
+        assert verdict.safe and "among 256 dominators" in verdict.detail
+        # Fig. 5 has exactly one dominator; a limit of one is enough.
+        assert decide_safety_exact(
+            *figure_5().pair(), dominator_limit=1
+        ).safe
+
+    def test_witness_inside_the_dominator_limit_decides_unsafe(self):
+        # Fig. 8's first realizable dominator is the 23rd enumerated.
+        first, second = _golden_pair("figure-8")
+        limited = decide_safety_exact(first, second, dominator_limit=23)
+        assert not limited.safe
+        assert str(limited.witness) == GOLDEN["figure-8"]["witness"]
+        with pytest.raises(TransactionError, match="safety is undecided"):
+            decide_safety_exact(first, second, dominator_limit=22)
 
 
 class TestLemma1Decider:

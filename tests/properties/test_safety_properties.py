@@ -11,13 +11,22 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    PairLockOrder,
+    ScheduledStep,
     d_graph,
     decide_safety,
     decide_safety_exact,
     decide_safety_exhaustive,
     is_safe_two_site,
+    shared_locked_entities,
 )
-from repro.graphs import is_strongly_connected
+from repro.core.safety import realizing_schedule
+from repro.graphs import (
+    DiGraph,
+    is_acyclic,
+    is_strongly_connected,
+    topological_sort,
+)
 from repro.workloads import random_pair_system
 
 pair_params = st.fixed_dictionaries(
@@ -122,3 +131,92 @@ def test_safety_is_symmetric_in_transaction_order(params):
         decide_safety_exact(first, second).safe
         == decide_safety_exact(second, first).safe
     )
+
+
+# ----------------------------------------------------------------------
+# The closure-bitset kernels against the definitions they replace
+# ----------------------------------------------------------------------
+
+multi_site_pair_params = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 10**9),
+        "sites": st.integers(2, 4),
+        "entities": st.integers(2, 6),
+        "shared": st.integers(2, 6),
+        "cross_arcs": st.integers(0, 3),
+        "two_phase": st.booleans(),
+    }
+)
+
+
+def build_multi_site_pair(params):
+    return random_pair_system(
+        random.Random(params["seed"]),
+        sites=params["sites"],
+        entities=params["entities"],
+        shared=params["shared"],
+        cross_arcs=params["cross_arcs"],
+        two_phase=params["two_phase"],
+    ).pair()
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_site_pair_params)
+def test_d_graph_is_definition_1_arc_for_arc(params):
+    """``d_graph`` on closure bitsets ≡ Definition 1 asked of
+    ``Transaction.precedes``, node and arc order included."""
+    first, second = build_multi_site_pair(params)
+    entities = shared_locked_entities(first, second)
+    expected = [
+        (x, y)
+        for x in entities
+        for y in entities
+        if x != y
+        and first.precedes(first.lock_step(x), first.unlock_step(y))
+        and second.precedes(second.lock_step(y), second.unlock_step(x))
+    ]
+    graph = d_graph(first, second)
+    assert graph.nodes() == entities
+    assert graph.arcs() == expected
+
+
+def step_level_graph(first, second, bits) -> DiGraph:
+    """``T1 ∪ T2 ∪ arcs(bits)`` over scheduled steps — the graph the
+    bit-vector argument is stated on, built from public parts only."""
+    graph = DiGraph()
+    for tx in (first, second):
+        for step in tx.steps:
+            graph.add_node(ScheduledStep(tx.name, step))
+        for before, after in tx.poset().arcs():
+            graph.add_arc(
+                ScheduledStep(tx.name, before), ScheduledStep(tx.name, after)
+            )
+    for entity, bit in bits.items():
+        earlier, later = (first, second) if bit == 0 else (second, first)
+        graph.add_arc(
+            ScheduledStep(earlier.name, earlier.unlock_step(entity)),
+            ScheduledStep(later.name, later.lock_step(entity)),
+        )
+    return graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_site_pair_params)
+def test_entity_level_realizability_is_step_level_acyclicity(params):
+    """For EVERY bit vector over the shared entities: the alternation
+    test on ``V`` answers what ``is_acyclic`` answers on the steps, and
+    a realizable vector's schedule is that graph's topological sort."""
+    first, second = build_multi_site_pair(params)
+    order = PairLockOrder(first, second)
+    shared = order.entities
+    for ones in range(1 << len(shared)):
+        bits = {
+            entity: (ones >> position) & 1
+            for position, entity in enumerate(shared)
+        }
+        graph = step_level_graph(first, second, bits)
+        zeros = order.mask(e for e, bit in bits.items() if bit == 0)
+        assert order.realizable(zeros) == is_acyclic(graph)
+        if is_acyclic(graph):
+            schedule = realizing_schedule(first, second, bits)
+            assert schedule.steps == topological_sort(graph)

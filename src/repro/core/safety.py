@@ -283,12 +283,12 @@ def decide_safety_exact(
         if sp:
             sp.set(dominators_checked=checked, realizable=found is not None)
     if found is not None:
-        realizable = realizing_schedule(
+        witness = realizing_schedule(
             first,
             second,
             {entity: 0 if entity in found else 1 for entity in shared},
         )
-        assert not realizable.is_serializable(), (
+        assert not witness.is_serializable(), (
             "realizable mixed bit vector must yield a "
             "non-serializable schedule"
         )
@@ -299,7 +299,7 @@ def decide_safety_exact(
                 f"dominator {sorted(found)} is realizable: "
                 "witness schedule attached"
             ),
-            witness=realizable,
+            witness=witness,
         )
     if truncated:
         raise TransactionError(

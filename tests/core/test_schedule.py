@@ -1,5 +1,7 @@
 """Schedules: legality clauses (a)/(b), serializability, enumeration."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -11,7 +13,9 @@ from repro.core import (
     all_legal_schedules,
     find_nonserializable_schedule,
 )
+from repro.core.step import lock
 from repro.errors import ScheduleError, TransactionError
+from repro.workloads import figure_1, figure_5
 
 
 @pytest.fixture
@@ -167,3 +171,92 @@ class TestEnumeration:
 
         with pytest.raises(SearchBudgetExceeded):
             list(all_legal_schedules(pair, state_budget=3))
+
+
+class TestGoldenOracle:
+    """Verbatim pins taken before ``Schedule`` validation moved onto
+    integer step ids: the four ``ScheduleError`` messages, two paper
+    witnesses and the enumeration order of ``all_legal_schedules``."""
+
+    def rejected(self, pair, steps):
+        with pytest.raises(ScheduleError) as caught:
+            Schedule(pair, steps)
+        return str(caught.value)
+
+    def test_repeated_step_message(self, pair):
+        t1, t2 = steps_of(pair, "T1"), steps_of(pair, "T2")
+        assert self.rejected(pair, t1 + t2 + [t1[0]]) == "schedule repeats a step"
+        # A repeat wins over a missing/extra step, unknown steps included.
+        ghost = ScheduledStep("T9", t1[0].step)
+        assert (
+            self.rejected(pair, t1 + t2[:-1] + [ghost, ghost])
+            == "schedule repeats a step"
+        )
+
+    def test_missing_and_extra_step_message(self, pair):
+        t1, t2 = steps_of(pair, "T1"), steps_of(pair, "T2")
+        assert self.rejected(pair, (t1 + t2)[:-1]) == (
+            "schedule is not a total order of all steps "
+            "(missing=['Uz[T2]'], extra=[])"
+        )
+        # An unknown transaction name and an unknown step of a known one.
+        strangers = [ScheduledStep("T9", t1[0].step), ("T2", lock("q"))]
+        assert self.rejected(pair, t1 + t2[:-2] + strangers) == (
+            "schedule is not a total order of all steps "
+            "(missing=['Uz[T2]', 'z[T2]'], extra=['Lq[T2]', 'Lx[T9]'])"
+        )
+        # Both lists are sorted and cut at five.
+        assert self.rejected(pair, t1[:2]) == (
+            "schedule is not a total order of all steps "
+            "(missing=['Lx[T2]', 'Lz[T1]', 'Lz[T2]', 'Ux[T1]', 'Ux[T2]'], "
+            "extra=[])"
+        )
+
+    def test_order_contradiction_names_the_first_violated_arc(self, pair):
+        steps = steps_of(pair, "T1") + steps_of(pair, "T2")
+        steps[0], steps[1] = steps[1], steps[0]
+        assert (
+            self.rejected(pair, steps)
+            == "schedule contradicts T1: Lx must precede x"
+        )
+        # Lz z Uz reversed violates two arcs; the first in arc order is named.
+        steps = steps_of(pair, "T1") + steps_of(pair, "T2")
+        steps[3], steps[5] = steps[5], steps[3]
+        assert (
+            self.rejected(pair, steps)
+            == "schedule contradicts T1: Lz must precede z"
+        )
+
+    def test_lock_while_held_message(self, pair):
+        t1, t2 = steps_of(pair, "T1"), steps_of(pair, "T2")
+        assert (
+            self.rejected(pair, [t1[0], t2[0]] + t1[1:] + t2[1:])
+            == "T2 locks 'x' while T1 still holds it"
+        )
+
+    def test_figure_witnesses(self):
+        assert str(find_nonserializable_schedule(figure_1())) == (
+            "Lx[T1] x[T1] Ux[T1] Ly[T1] y[T1] Uy[T1] Lw[T2] w[T2] Uw[T2] "
+            "Lw[T1] w[T1] Uw[T1] Lz[T2] z[T2] Uz[T2] Lx[T2] x[T2] Ux[T2]"
+        )
+        assert find_nonserializable_schedule(figure_5()) is None  # safe
+
+    def test_enumeration_count_and_order(self, pair):
+        rendered = [str(schedule) for schedule in all_legal_schedules(pair)]
+        assert len(rendered) == 3696
+        assert rendered[0] == (
+            "Lx[T1] x[T1] Ux[T1] Lz[T1] z[T1] Uz[T1] "
+            "Lx[T2] x[T2] Ux[T2] Lz[T2] z[T2] Uz[T2]"
+        )
+        assert rendered[1] == (
+            "Lx[T1] x[T1] Ux[T1] Lz[T1] z[T1] Uz[T1] "
+            "Lx[T2] x[T2] Lz[T2] Ux[T2] z[T2] Uz[T2]"
+        )
+        assert rendered[-1] == (
+            "Lz[T2] z[T2] Uz[T2] Lx[T2] x[T2] Ux[T2] "
+            "Lz[T1] z[T1] Uz[T1] Lx[T1] x[T1] Ux[T1]"
+        )
+        digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
+        assert digest == (
+            "b6ba36254f28ad2fe9abed5f856c70d5d601d5c3adff728fc0839135bca84830"
+        )

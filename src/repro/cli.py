@@ -338,19 +338,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _renamed(transaction, new_name):
-    """A copy of *transaction* under *new_name* (for cross-file name
-    collisions in batch vetting)."""
-    from .core import Transaction
-
-    return Transaction(
-        new_name,
-        transaction.database,
-        transaction.steps,
-        transaction.poset().arcs(),
-    )
-
-
 def cmd_vet(args: argparse.Namespace) -> int:
     from .errors import AdmissionError
     from .service import AdmissionRegistry, PairVettingPool, VerdictCache
@@ -374,8 +361,8 @@ def cmd_vet(args: argparse.Namespace) -> int:
                     suffix = 2
                     while f"{transaction.name}@{suffix}" in registry:
                         suffix += 1
-                    transaction = _renamed(
-                        transaction, f"{transaction.name}@{suffix}"
+                    transaction = transaction.renamed(
+                        f"{transaction.name}@{suffix}"
                     )
                 try:
                     decisions.append(

@@ -328,20 +328,14 @@ class Coordinator:
         #: where failover re-dials are per-transaction decisions.
         self.pool = pool if resolver is None else None
         #: Execution plan, fixed across attempts: the steps in program
-        #: order, each step's poset-predecessor indices, and each
-        #: step's home site.  Index-based so the per-attempt scheduling
-        #: loops compare small ints instead of re-deriving the poset
-        #: (and hashing Step objects) on every wave.
-        self._steps: list = list(transaction.steps)
-        poset = transaction.poset()
-        self._step_preds: list[tuple[int, ...]] = [
-            tuple(
-                j
-                for j, other in enumerate(self._steps)
-                if j != i and poset.precedes(other, step)
-            )
-            for i, step in enumerate(self._steps)
-        ]
+        #: order and each step's poset-predecessor indices (both read
+        #: off the transaction's step plan, shared by every instance of
+        #: the program), and each step's home site.  Index-based so the
+        #: per-attempt scheduling loops compare small ints instead of
+        #: re-deriving the poset (and hashing Step objects) on every wave.
+        plan = transaction.plan()
+        self._steps = plan.steps
+        self._step_preds = plan.predecessor_ids
         self._step_sites: list[int] = [
             transaction.database.site_of(step.entity) for step in self._steps
         ]

@@ -198,17 +198,6 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-def _clone(tx: Transaction, name: str) -> Transaction:
-    """The same program under a new instance name."""
-    return Transaction(
-        name,
-        tx.database,
-        list(tx.steps),
-        tx.poset().arcs(),
-        validate_locking=False,
-    )
-
-
 def _build_workload(system: TransactionSystem, rounds: int) -> list[Transaction]:
     """*rounds* instances of every transaction; round 1 keeps the
     original names so single-round runs read like the paper."""
@@ -218,7 +207,7 @@ def _build_workload(system: TransactionSystem, rounds: int) -> list[Transaction]
             if round_no == 1:
                 workload.append(tx)
             else:
-                workload.append(_clone(tx, f"{tx.name}@r{round_no}"))
+                workload.append(tx.renamed(f"{tx.name}@r{round_no}"))
     return workload
 
 

@@ -57,7 +57,7 @@ from .safety import (
     sites_of_pair,
 )
 from .step import Step, StepKind, lock, unlock, update
-from .transaction import Transaction, TransactionBuilder
+from .transaction import StepPlan, Transaction, TransactionBuilder
 
 __all__ = [
     "BGraphKernel",
@@ -72,6 +72,7 @@ __all__ = [
     "ScheduledStep",
     "Step",
     "StepKind",
+    "StepPlan",
     "Transaction",
     "TransactionBuilder",
     "TransactionSystem",

@@ -185,46 +185,25 @@ def realizing_schedule(
     ``T1 ∪ T2 ∪ arcs(bits)``.
 
     ``bits[x] = 0`` ⇒ ``U1x`` before ``L2x`` (transaction 1 first);
-    ``bits[x] = 1`` ⇒ ``U2x`` before ``L1x``.  Steps are numbered
-    ``T1`` then ``T2`` in insertion order, so the sort runs on ints and
-    only the emitted order is turned back into scheduled steps.  Raises
+    ``bits[x] = 1`` ⇒ ``U2x`` before ``L1x``.  The sort runs on the
+    pair system's global step ids (``T1`` then ``T2``, each in insertion
+    order), which :class:`Schedule` validates as they are.  Raises
     :class:`~repro.graphs.CycleError` when *bits* is not realizable
     (:meth:`~repro.core.dgraph.PairLockOrder.realizable` tells, far
     cheaper).
     """
-    scheduled: list[ScheduledStep] = []
-    arcs: list[tuple[int, int]] = []
-    numbers = []
-    for tx in (first, second):
-        number = {
-            step: len(scheduled) + offset
-            for offset, step in enumerate(tx.steps)
-        }
-        scheduled.extend(ScheduledStep(tx.name, step) for step in number)
-        arcs.extend(
-            (number[before], number[after])
-            for before, after in tx.poset().arcs()
-        )
-        numbers.append(number)
-    number1, number2 = numbers
-    for entity, bit in bits.items():
-        if bit == 0:
-            arcs.append(
-                (
-                    number1[first.unlock_step(entity)],
-                    number2[second.lock_step(entity)],
-                )
-            )
-        else:
-            arcs.append(
-                (
-                    number2[second.unlock_step(entity)],
-                    number1[first.lock_step(entity)],
-                )
-            )
-    order = topological_sort(DiGraph(range(len(scheduled)), arcs))
     system = TransactionSystem([first, second])
-    return Schedule(system, [scheduled[position] for position in order])
+    arcs = list(system.step_arcs)
+    for entity, bit in bits.items():
+        earlier, later = (first, second) if bit == 0 else (second, first)
+        arcs.append(
+            (
+                system.step_id(earlier.name, earlier.unlock_step(entity)),
+                system.step_id(later.name, later.lock_step(entity)),
+            )
+        )
+    order = topological_sort(DiGraph(range(system.total_steps()), arcs))
+    return Schedule(system, order)
 
 
 @_traced_verdict("safety.exact")

@@ -24,6 +24,7 @@ This module supplies:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -74,6 +75,12 @@ class TransactionSystem:
                 )
         self.database = database
         self._transactions = {tx.name: tx for tx in transactions}
+        # Global id of each transaction's first step.
+        self._offsets: dict[str, int] = {}
+        total = 0
+        for tx in transactions:
+            self._offsets[tx.name] = total
+            total += len(tx)
 
     # ------------------------------------------------------------------
     @property
@@ -113,6 +120,38 @@ class TransactionSystem:
         return sum(len(tx) for tx in self.transactions)
 
     # ------------------------------------------------------------------
+    # Global step numbering
+    # ------------------------------------------------------------------
+    def step_id(self, name: str, step: Step) -> int | None:
+        """Global id of *step* of transaction *name* — its plan id
+        (:meth:`Transaction.plan`) shifted past the steps of the
+        transactions before it; ``None`` when the system has no such
+        step."""
+        tx = self._transactions.get(name)
+        local = None if tx is None else tx.plan().index.get(step)
+        return None if local is None else self._offsets[name] + local
+
+    @functools.cached_property
+    def scheduled_steps(self) -> "tuple[ScheduledStep, ...]":
+        """Global step id → scheduled step."""
+        return tuple(
+            ScheduledStep(tx.name, step)
+            for tx in self._transactions.values()
+            for step in tx.plan().steps
+        )
+
+    @functools.cached_property
+    def step_arcs(self) -> tuple[tuple[int, int], ...]:
+        """The given precedences of every transaction as global id
+        pairs: transaction by transaction, each in ``poset().arcs()``
+        order."""
+        return tuple(
+            (offset + before, offset + after)
+            for name, offset in self._offsets.items()
+            for before, after in self._transactions[name].plan().arcs
+        )
+
+    # ------------------------------------------------------------------
     # Serial schedules
     # ------------------------------------------------------------------
     def serial_schedule(self, order: Sequence[str]) -> "Schedule":
@@ -140,49 +179,62 @@ class Schedule:
     def __init__(
         self,
         system: TransactionSystem,
-        steps: Iterable[ScheduledStep | tuple[str, Step]],
+        steps: Iterable[ScheduledStep | tuple[str, Step] | int],
     ) -> None:
+        """*steps* in schedule order; an ``int`` item is a global step
+        id of *system* (:meth:`TransactionSystem.step_id`)."""
         self.system = system
-        normalized: list[ScheduledStep] = []
+        known = system.scheduled_steps
+        self.steps: list[ScheduledStep] = []
+        ids: list[int | None] = []
         for item in steps:
-            if isinstance(item, ScheduledStep):
-                normalized.append(item)
+            if isinstance(item, int):
+                if not 0 <= item < len(known):
+                    raise ScheduleError(f"the system has no step id {item}")
+                number = item
+                item = known[number]
             else:
-                name, step = item
-                normalized.append(ScheduledStep(name, step))
-        self.steps = normalized
-        self._validate()
+                if not isinstance(item, ScheduledStep):
+                    item = ScheduledStep(*item)
+                number = system.step_id(item.transaction, item.step)
+            self.steps.append(item)
+            ids.append(number)
+        self._validate(ids)
 
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        expected = {
-            ScheduledStep(tx.name, step)
-            for tx in self.system.transactions
-            for step in tx.steps
-        }
-        got = set(self.steps)
-        if len(got) != len(self.steps):
-            raise ScheduleError("schedule repeats a step")
-        if got != expected:
-            missing = expected - got
-            extra = got - expected
+    def _validate(self, ids: Sequence[int | None]) -> None:
+        """*ids* are the global step ids of :attr:`steps`, ``None`` for
+        an item that is no step of the system."""
+        known = self.system.scheduled_steps
+        position: list[int | None] = [None] * len(known)
+        strangers: set[ScheduledStep] = set()
+        for place, (number, item) in enumerate(zip(ids, self.steps)):
+            if number is None:
+                repeated = item in strangers
+                strangers.add(item)
+            else:
+                repeated = position[number] is not None
+                position[number] = place
+            if repeated:
+                raise ScheduleError("schedule repeats a step")
+        if strangers or len(ids) != len(known):
+            missing = [
+                known[number]
+                for number, place in enumerate(position)
+                if place is None
+            ]
             raise ScheduleError(
                 f"schedule is not a total order of all steps "
                 f"(missing={sorted(map(str, missing))[:5]}, "
-                f"extra={sorted(map(str, extra))[:5]})"
+                f"extra={sorted(map(str, strangers))[:5]})"
             )
         # (a) respects every transaction's partial order.
-        position = {item: index for index, item in enumerate(self.steps)}
-        for tx in self.system.transactions:
-            for before, after in tx.poset().arcs():
-                if (
-                    position[ScheduledStep(tx.name, before)]
-                    > position[ScheduledStep(tx.name, after)]
-                ):
-                    raise ScheduleError(
-                        f"schedule contradicts {tx.name}: {before} must "
-                        f"precede {after}"
-                    )
+        for before, after in self.system.step_arcs:
+            if position[before] > position[after]:
+                raise ScheduleError(
+                    f"schedule contradicts {known[before].transaction}: "
+                    f"{known[before].step} must precede {known[after].step}"
+                )
         # (b) two locks on x always separated by an unlock on x.
         holder: dict[str, str | None] = {}
         for item in self.steps:
@@ -283,8 +335,8 @@ def _prefix_search(
     *,
     want_nonserializable: bool,
     state_budget: int,
-) -> Iterator[list[ScheduledStep]]:
-    """DFS over legal schedule prefixes.
+) -> Iterator[list[int]]:
+    """DFS over legal schedule prefixes, on global step ids.
 
     Yields complete schedules; when *want_nonserializable* is set, only
     non-serializable ones are yielded and memoization prunes states from
@@ -292,48 +344,40 @@ def _prefix_search(
     pair (executed steps, conflict arcs so far): together they determine
     both which continuations are legal and the final conflict graph.
     """
-    transactions = system.transactions
-    all_steps: list[tuple[str, Step, frozenset]] = []
-    step_ids: dict[ScheduledStep, int] = {}
-    for tx in transactions:
-        for step in tx.steps:
-            step_ids[ScheduledStep(tx.name, step)] = len(step_ids)
+    items = system.scheduled_steps
+    predecessor_masks: list[int] = []
+    #: lock step id → id of its unlock (absent: never unlocked).
+    unlock_of: dict[int, int] = {}
+    for tx in system.transactions:
+        offset = len(predecessor_masks)
+        plan = tx.plan()
+        predecessor_masks.extend(mask << offset for mask in plan.predecessors)
+        for number, step in enumerate(plan.steps):
+            unlock = tx.unlock_step(step.entity) if step.is_lock else None
+            if unlock is not None:
+                unlock_of[offset + number] = offset + plan.index[unlock]
 
-    predecessor_masks: dict[ScheduledStep, int] = {}
-    for tx in transactions:
-        poset = tx.poset()
-        for step in tx.steps:
-            mask = 0
-            for other in tx.steps:
-                if poset.precedes(other, step):
-                    mask |= 1 << step_ids[ScheduledStep(tx.name, other)]
-            predecessor_masks[ScheduledStep(tx.name, step)] = mask
-
-    items = list(step_ids)
     total_mask = (1 << len(items)) - 1
     visited: set[tuple[int, frozenset]] = set()
     states = 0
 
     def lock_holder(executed_mask: int) -> dict[str, str]:
         holders: dict[str, str] = {}
-        for item in items:
-            if not executed_mask >> step_ids[item] & 1:
+        for idx, item in enumerate(items):
+            if not executed_mask >> idx & 1:
                 continue
             if item.step.is_lock:
-                tx = system[item.transaction]
-                unlock = tx.unlock_step(item.step.entity)
-                if unlock is None or not (
-                    executed_mask >> step_ids[ScheduledStep(item.transaction, unlock)] & 1
-                ):
+                unlock = unlock_of.get(idx)
+                if unlock is None or not executed_mask >> unlock & 1:
                     holders[item.step.entity] = item.transaction
         return holders
 
     def search(
         executed_mask: int,
-        prefix: list[ScheduledStep],
+        prefix: list[int],
         conflicts: frozenset[tuple[str, str]],
         last_updater: dict[str, tuple[str, ...]],
-    ) -> Iterator[list[ScheduledStep]]:
+    ) -> Iterator[list[int]]:
         nonlocal states
         states += 1
         if states > state_budget:
@@ -354,11 +398,10 @@ def _prefix_search(
                 return
             visited.add(key)
         holders = lock_holder(executed_mask)
-        for item in items:
-            idx = step_ids[item]
+        for idx, item in enumerate(items):
             if executed_mask >> idx & 1:
                 continue
-            if predecessor_masks[item] & ~executed_mask:
+            if predecessor_masks[idx] & ~executed_mask:
                 continue  # a predecessor within the transaction is pending
             if item.step.is_lock:
                 holder = holders.get(item.step.entity)
@@ -380,7 +423,7 @@ def _prefix_search(
                     new_updaters[item.step.entity] = previous + (
                         item.transaction,
                     )
-            prefix.append(item)
+            prefix.append(idx)
             yield from search(
                 executed_mask | (1 << idx), prefix, new_conflicts, new_updaters
             )

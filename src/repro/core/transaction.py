@@ -22,12 +22,61 @@ restriction by construction) and accepts explicit cross-site precedences.
 
 from __future__ import annotations
 
+import copy
+import functools
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..errors import LockingError, SiteOrderError, TransactionError
 from ..posets import NotAPartialOrderError, Poset, linear_extensions
 from .entity import DistributedDatabase
 from .step import Step, StepKind
+
+
+class StepPlan:
+    """One transaction's steps as small ints, built once per transaction.
+
+    A step's id is its insertion index.  Step-level code (schedule
+    validation, witness construction, the exhaustive search, the
+    cluster coordinator) works on these ids; ``Step`` objects are
+    hashed once, here, and again only where steps enter or leave the
+    program.
+    """
+
+    def __init__(self, steps: Sequence[Step], poset: Poset) -> None:
+        #: id → step.
+        self.steps = tuple(steps)
+        #: step → id.
+        self.index = {step: number for number, step in enumerate(steps)}
+        index = self.index
+        #: The given precedences as id pairs, in ``poset.arcs()`` order.
+        self.arcs = tuple(
+            (index[before], index[after]) for before, after in poset.arcs()
+        )
+        #: id → bitmask over ids of the step's strict predecessors:
+        #: one pass in closure (topological) order, each step taking
+        #: the union of its direct predecessors' sets.
+        direct: list[list[int]] = [[] for _ in steps]
+        for before, after in self.arcs:
+            direct[after].append(before)
+        closure = poset.closure()
+        positions = [closure.position(step) for step in steps]
+        masks = [0] * len(steps)
+        for number in sorted(range(len(steps)), key=positions.__getitem__):
+            mask = 0
+            for before in direct[number]:
+                mask |= masks[before] | 1 << before
+            masks[number] = mask
+        self.predecessors = tuple(masks)
+
+    @functools.cached_property
+    def predecessor_ids(self) -> tuple[tuple[int, ...], ...]:
+        """id → ascending ids of the step's strict predecessors (the
+        unpacked form of :attr:`predecessors`)."""
+        count = len(self.steps)
+        return tuple(
+            tuple(other for other in range(count) if mask >> other & 1)
+            for mask in self.predecessors
+        )
 
 
 class Transaction:
@@ -78,6 +127,7 @@ class Transaction:
             entity: 1 << closure.position(step)
             for entity, step in self._unlock_steps.items()
         }
+        self._plan = StepPlan(self._steps, self._poset)
 
     # ------------------------------------------------------------------
     # Validation of the paper's constraints
@@ -94,7 +144,14 @@ class Transaction:
         by_site: dict[int, list[Step]] = {}
         for step in self._steps:
             by_site.setdefault(self.database.site_of(step.entity), []).append(step)
+        closure = self._poset.closure()
         for site, site_steps in by_site.items():
+            # In closure (topological) order a chain is exactly a
+            # sequence whose every neighbour pair is ordered; the
+            # pairwise scan only names the offending pair.
+            chain = sorted(site_steps, key=closure.position)
+            if all(map(closure.reaches, chain, chain[1:])):
+                continue
             for i, a in enumerate(site_steps):
                 for b in site_steps[i + 1 :]:
                     if not self._poset.comparable(a, b):
@@ -184,6 +241,10 @@ class Transaction:
         """The step partial order (the pair ``(S, A)`` of the paper)."""
         return self._poset
 
+    def plan(self) -> StepPlan:
+        """The integer step plan (ids, arcs, predecessor masks)."""
+        return self._plan
+
     def precedes(self, a: Step, b: Step) -> bool:
         """Strict precedence in the transaction's partial order
         (the paper's ``a >_i b`` notation, transitively closed)."""
@@ -258,6 +319,16 @@ class Transaction:
     # ------------------------------------------------------------------
     # Derived transactions and extensions
     # ------------------------------------------------------------------
+    def renamed(self, name: str) -> "Transaction":
+        """The same program under another name: a new instance sharing
+        this one's (immutable) steps, poset and step plan, so nothing is
+        rebuilt or re-validated."""
+        if not name:
+            raise TransactionError("transactions need a nonempty name")
+        clone = copy.copy(self)
+        clone.name = name
+        return clone
+
     def with_precedences(
         self, extra: Iterable[tuple[Step, Step]]
     ) -> "Transaction":

@@ -76,11 +76,6 @@ def policy_sample_is_safe(transactions: list[Transaction]) -> bool:
     the centralized image quantifies over all pairs of total orders,
     including two extensions of one transaction.
     """
-    def clone(tx: Transaction) -> Transaction:
-        return Transaction(
-            tx.name + "'", tx.database, tx.steps, tx.poset().arcs()
-        )
-
     for first, second in combinations(transactions, 2):
         verdict = decide_safety(
             TransactionSystem([first, second]), want_certificate=False
@@ -89,7 +84,8 @@ def policy_sample_is_safe(transactions: list[Transaction]) -> bool:
             return False
     for tx in transactions:
         verdict = decide_safety(
-            TransactionSystem([tx, clone(tx)]), want_certificate=False
+            TransactionSystem([tx, tx.renamed(tx.name + "'")]),
+            want_certificate=False,
         )
         if not verdict.safe:
             return False

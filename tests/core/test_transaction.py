@@ -143,6 +143,23 @@ class TestStructuralConstraints:
                 [(lx, ux_), (ux_, unx), (ly, uy_), (uy_, uny)],
             )
 
+    def test_site_order_error_names_the_first_unordered_pair(self, db):
+        # Steps are listed Uy-first, so the pair scan in insertion order
+        # and the chain check in closure order meet different pairs
+        # first; the message must stay the insertion-order one.
+        lx, ux_, unx = triple("x")
+        ly, uy_, uny = triple("y")
+        with pytest.raises(SiteOrderError) as caught:
+            Transaction(
+                "T",
+                db,
+                [uny, uy_, ly, unx, ux_, lx],
+                [(lx, ux_), (ux_, unx), (ly, uy_), (uy_, uny), (lx, uny)],
+            )
+        assert str(caught.value) == (
+            "T: steps Uy and Ux are both at site 1 but are unordered"
+        )
+
     def test_cyclic_precedence_rejected(self, db):
         l, upd, un = triple("x")
         with pytest.raises(TransactionError):
@@ -211,3 +228,33 @@ class TestQueries:
     def test_describe_mentions_sites(self, tx):
         text = tx.describe()
         assert "site 1" in text and "site 2" in text
+
+    def test_renamed_shares_the_program(self, tx):
+        twin = tx.renamed("T@r2")
+        assert (twin.name, tx.name) == ("T@r2", "T")
+        assert twin.steps == tx.steps
+        assert twin.poset() is tx.poset() and twin.plan() is tx.plan()
+        assert twin.canonical_form() == tx.canonical_form()
+        with pytest.raises(TransactionError):
+            tx.renamed("")
+
+
+class TestStepPlan:
+    def test_ids_arcs_and_predecessor_masks(self, db):
+        builder = TransactionBuilder("T", db)
+        lx, x, ux = builder.access("x")
+        lz, z, uz = builder.access("z")
+        builder.precede(ux, lz)
+        plan = builder.build().plan()
+        assert plan.steps == (lx, x, ux, lz, z, uz)
+        assert [plan.index[step] for step in plan.steps] == [0, 1, 2, 3, 4, 5]
+        assert plan.arcs == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+        assert plan.predecessors == (0, 0b1, 0b11, 0b111, 0b1111, 0b11111)
+        assert plan.predecessor_ids[3] == (0, 1, 2)
+
+    def test_concurrent_steps_are_not_predecessors(self, db):
+        builder = TransactionBuilder("T", db)
+        builder.access("x")
+        builder.access("z")
+        plan = builder.build().plan()
+        assert plan.predecessors == (0, 0b1, 0b11, 0, 0b1000, 0b11000)

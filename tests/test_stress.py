@@ -28,7 +28,11 @@ class TestLargeSystems:
 
     def test_fast_centralized_three_thousand_entities(self):
         rng = random.Random(2)
+        start = time.perf_counter()
         _, t1, t2 = random_total_order_pair(rng, entities=3000)
+        # Two 9000-step chains: construction (closure, site-order
+        # validation, step plan) must stay near-linear too.
+        assert time.perf_counter() - start < 10
         start = time.perf_counter()
         is_safe_total_orders_fast(t1, t2)
         assert time.perf_counter() - start < 10

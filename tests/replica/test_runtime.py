@@ -72,6 +72,23 @@ class TestGoldenOracle:
         assert report.messages == messages
         assert report.replicas == replicas
 
+    def test_batched_transfer_pair_is_pinned(self, transfer_system):
+        # The cell neither the suite nor the cases above cover: batch
+        # frames (inline grants, parked continuations) through replica
+        # groups, so log shipping sees batched mutations.
+        report = run_replicated_sync(
+            transfer_system,
+            replicas=3,
+            batch=True,
+            rounds=25,
+            max_retries=16,
+            concurrency=4,
+            seed=14,
+        )
+        assert report.history_fingerprint[:16] == "df4c3b98a33c522f"
+        assert report.outcome_fingerprint[:16] == "13c7a044947fc2c5"
+        assert report.messages == 2917
+
 
 class TestValidation:
     def test_fault_plan_requires_request_timeout(self, transfer_system):

@@ -124,12 +124,12 @@ class _SiteClient:
                 future.set_exception(TransportError("site connection closed"))
         self._waiters.clear()
 
-    async def request(self, kind: str, *, timeout: int | None = None, **fields) -> dict:
-        self._next_id += 1
-        request_id = self._next_id
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiters[request_id] = future
-        await self.connection.send(protocol.request(kind, request_id, **fields))
+    async def routed_reply(
+        self, request_id: int, future: asyncio.Future, timeout: float | None
+    ) -> dict:
+        """Await the reply the reader routes to *future* (registered
+        under *request_id*); after *timeout* give the wait up — the late
+        answer is then dropped — and report ``timeout`` instead."""
         if timeout is None:
             return await future
         try:
@@ -137,6 +137,14 @@ class _SiteClient:
         except asyncio.TimeoutError:
             self._waiters.pop(request_id, None)
             return {"type": "reply", "id": request_id, "status": "timeout"}
+
+    async def request(self, kind: str, *, timeout: int | None = None, **fields) -> dict:
+        self._next_id += 1
+        request_id = self._next_id
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._waiters[request_id] = future
+        await self.connection.send(protocol.request(kind, request_id, **fields))
+        return await self.routed_reply(request_id, future, timeout)
 
     async def negotiate(self, codec: protocol.WireCodec, *, timeout: int | None = None) -> None:
         """Offer *codec* via a ``hello`` exchange; the connection
@@ -189,13 +197,7 @@ class _SiteClient:
             protocol.request("batch", batch_id, steps=wire_steps, **fields)
         )
         try:
-            if timeout is None:
-                reply = await batch_future
-            else:
-                reply = await asyncio.wait_for(batch_future, timeout)
-        except asyncio.TimeoutError:
-            self._waiters.pop(batch_id, None)
-            reply = {"type": "reply", "id": batch_id, "status": "timeout"}
+            reply = await self.routed_reply(batch_id, batch_future, timeout)
         except TransportError as exc:
             reply = {"type": "reply", "id": batch_id, "status": "error", "reason": str(exc)}
         if reply.get("status") == "batch":
@@ -224,6 +226,15 @@ class _SiteClient:
         except (asyncio.CancelledError, Exception):
             pass
         await self.connection.close()
+
+
+async def _dial(
+    transport: Transport, address: int, codec: protocol.WireCodec, timeout: float | None
+) -> _SiteClient:
+    """Connect to *address* and negotiate *codec* on the fresh connection."""
+    client = _SiteClient(await transport.connect(address), address=address)
+    await client.negotiate(codec, timeout=timeout)
+    return client
 
 
 class SiteClientPool:
@@ -256,23 +267,16 @@ class SiteClientPool:
         if dial is None:
             # The dict entry is installed before the first await so
             # concurrent coordinators share one dial, not race N.
-            dial = asyncio.ensure_future(self._dial(site))
+            dial = asyncio.ensure_future(
+                _dial(self.transport, site, self.codec, self.request_timeout)
+            )
             self._dials[site] = dial
         try:
             return await asyncio.shield(dial)
-        except (TransportError, asyncio.CancelledError):
+        except (Exception, asyncio.CancelledError):
             if self._dials.get(site) is dial:
                 del self._dials[site]
             raise
-        except Exception:
-            if self._dials.get(site) is dial:
-                del self._dials[site]
-            raise
-
-    async def _dial(self, site: int) -> _SiteClient:
-        client = _SiteClient(await self.transport.connect(site), address=site)
-        await client.negotiate(self.codec, timeout=self.request_timeout)
-        return client
 
     async def close(self) -> None:
         dials, self._dials = dict(self._dials), {}
@@ -402,9 +406,7 @@ class Coordinator:
 
     async def _run(self) -> TxnOutcome:
         name = self.transaction.name
-        sites = sorted(
-            {self.transaction.database.site_of(step.entity) for step in self.transaction.steps}
-        )
+        sites = sorted(set(self._step_sites))
         try:
             for attempt in range(self.max_retries + 1):
                 self._attempt_no = attempt
@@ -455,36 +457,27 @@ class Coordinator:
 
     # ------------------------------------------------------------------
     async def _client(self, site: int) -> _SiteClient:
-        if self.resolver is None:
-            if self.pool is not None:
-                return await self.pool.client(site)
-            client = self._clients.get(site)
-            if client is None:
-                client = _SiteClient(await self.transport.connect(site), address=site)
-                await client.negotiate(self.codec, timeout=self.request_timeout)
-                self._clients[site] = client
-            return client
-        address = await self.resolver.resolve(site)
+        if self.pool is not None:
+            return await self.pool.client(site)
+        # Without a resolver a site is its own address, dialled once.
+        address = site if self.resolver is None else await self.resolver.resolve(site)
         client = self._clients.get(site)
         if client is not None and client.address == address:
             return client
         if client is not None:
             await client.close()
-        client = _SiteClient(await self.transport.connect(address), address=address)
-        await client.negotiate(self.codec, timeout=self.request_timeout)
+        client = await _dial(self.transport, address, self.codec, self.request_timeout)
         self._clients[site] = client
         return client
 
-    async def _drop_client(self, site: int) -> None:
+    async def _failover(self, site: int, leader_hint=None) -> None:
+        """A request to *site* failed: forget the cached leader and
+        this connection so the next try re-resolves and re-dials."""
+        if self.resolver is not None:
+            self.resolver.invalidate(site, hint=leader_hint)
         client = self._clients.pop(site, None)
         if client is not None:
             await client.close()
-
-    def _failover(self, site: int, leader_hint=None) -> None:
-        """A request to *site* failed: forget the cached leader (and
-        this connection) so the next try re-resolves."""
-        if self.resolver is not None:
-            self.resolver.invalidate(site, hint=leader_hint)
 
     async def _should_failover(self, site: int, status: str) -> bool:
         """Does *status* mean the leader moved or died — as opposed to
@@ -526,12 +519,11 @@ class Coordinator:
                 if self.batch:
                     in_flight.update(await self._issue_waves(acked, flying))
                 else:
-                    for index, step in enumerate(steps):
+                    for index in range(len(steps)):
                         if index in acked or index in flying:
                             continue
                         if all(j in acked for j in preds[index]):
-                            task = asyncio.ensure_future(self._issue(step, index=index))
-                            in_flight[task] = index
+                            in_flight[asyncio.ensure_future(self._issue(index))] = index
                 if not in_flight:  # pragma: no cover - poset is acyclic
                     return "stuck"
                 done, _ = await asyncio.wait(in_flight, return_when=asyncio.FIRST_COMPLETED)
@@ -594,7 +586,7 @@ class Coordinator:
 
     async def _issue_batch(self, site: int, group: list[int]) -> dict:
         """One site's wave as a single ``batch`` frame; a task per
-        step resolves to the step's final status, like :meth:`_issue`."""
+        step runs :meth:`_issue` with the frame as its first try."""
         tx = self.transaction
         self._touched_sites.add(site)
         specs = []
@@ -616,60 +608,31 @@ class Coordinator:
                 age=self.age,
                 **self._trace_fields(),
             )
-        except TransportError:
-            if self.resolver is None:
-                raise
-            # The cached leader connection is dead: fall back to the
-            # single-step path, whose failover loop re-resolves and
-            # replays idempotently.
-            self._failover(site)
-            await self._drop_client(site)
-            return {
-                asyncio.ensure_future(
-                    self._issue(self._steps[index], notify=False, index=index)
-                ): index
-                for index in group
-            }
+        except TransportError as exc:
+            # The frame never left (dead connection): every step's first
+            # try failed the way a dead single-step request does, and
+            # its failover loop takes it from there (or re-raises).
+            carried = [exc] * len(group)
+        else:
+            carried = [(client, step_id, future) for step_id, future in pairs]
         return {
-            asyncio.ensure_future(
-                self._await_batch_step(site, index, step_id, future, client)
-            ): index
-            for index, (step_id, future) in zip(group, pairs)
+            asyncio.ensure_future(self._issue(index, first)): index
+            for index, first in zip(group, carried)
         }
 
-    async def _await_batch_step(
-        self,
-        site: int,
-        index: int,
-        step_id: int,
-        future: asyncio.Future,
-        client: _SiteClient,
-    ) -> str:
-        """Await one batched step's final status, applying the same
-        failover rules as :meth:`_issue` via a single-step replay."""
-        try:
-            if self.request_timeout is None:
-                reply = await future
-            else:
-                try:
-                    reply = await asyncio.wait_for(asyncio.shield(future), self.request_timeout)
-                except asyncio.TimeoutError:
-                    client._waiters.pop(step_id, None)
-                    reply = {"status": "timeout"}
-        except TransportError:
-            if self.resolver is None:
-                raise
-            reply = {"status": "timeout"}
-        status = reply.get("status", "error")
-        if self.resolver is not None and await self._should_failover(site, status):
-            self._failover(site, leader_hint=reply.get("leader"))
-            await self._drop_client(site)
-            return await self._issue(self._steps[index], notify=False, index=index)
-        return status
+    async def _issue(self, index: int, carried: tuple | TransportError | None = None) -> str:
+        """Drive step *index* to its final status under the one
+        failover loop.
 
-    async def _issue(self, step, notify: bool = True, index: int | None = None) -> str:
-        site = self.transaction.database.site_of(step.entity)
-        if notify and self.on_send is not None:
+        *carried* is the try a ``batch`` frame already made for the
+        step: the ``(client, step id, future)`` its final reply is
+        routed to, or the :class:`TransportError` that kept the frame
+        from leaving.  That is the step's first try; every other try is
+        a single-step request.
+        """
+        step = self._steps[index]
+        site = self._step_sites[index]
+        if carried is None and self.on_send is not None:
             self.on_send(self.transaction.name, step)
         kind = self._kind_of(step)
         fields = {
@@ -680,7 +643,7 @@ class Coordinator:
         if kind == "update":
             # Connection-independent idempotency key: a step replayed
             # against a new leader after failover must not double-apply.
-            fields["step"] = index if index is not None else self.transaction.steps.index(step)
+            fields["step"] = index
         attempts = self.failover_attempts if self.resolver is not None else 0
         status = "error"
         self._touched_sites.add(site)
@@ -690,15 +653,21 @@ class Coordinator:
                 fields["trace"] = distributed.context_of(span)
             for attempt in range(attempts + 1):
                 try:
-                    client = await self._client(site)
-                    reply = await client.request(
-                        kind, timeout=self.request_timeout, **fields
-                    )
+                    if carried is None:
+                        client = await self._client(site)
+                        reply = await client.request(
+                            kind, timeout=self.request_timeout, **fields
+                        )
+                    else:
+                        first, carried = carried, None
+                        if isinstance(first, TransportError):
+                            raise first
+                        client, step_id, future = first
+                        reply = await client.routed_reply(step_id, future, self.request_timeout)
                 except TransportError:
                     if self.resolver is None or attempt == attempts:
                         raise
-                    self._failover(site)
-                    await self._drop_client(site)
+                    await self._failover(site)
                     continue
                 status = reply.get("status", "error")
                 if attempt < attempts and await self._should_failover(site, status):
@@ -708,8 +677,7 @@ class Coordinator:
                     # for a held entity re-grants, a re-sent update
                     # dedupes on its step key, a queued lock retry
                     # supersedes the original.
-                    self._failover(site, leader_hint=reply.get("leader"))
-                    await self._drop_client(site)
+                    await self._failover(site, leader_hint=reply.get("leader"))
                     continue
                 break
             if span:
@@ -741,14 +709,12 @@ class Coordinator:
             except TransportError:
                 if self.resolver is None:
                     break
-                self._failover(site)
-                await self._drop_client(site)
+                await self._failover(site)
                 continue
             if attempt == 0 and await self._should_failover(
                 site, reply.get("status", "error")
             ):
-                self._failover(site, leader_hint=reply.get("leader"))
-                await self._drop_client(site)
+                await self._failover(site, leader_hint=reply.get("leader"))
                 continue
             break
 
@@ -792,15 +758,13 @@ class Coordinator:
                     **self._trace_fields(),
                 )
             except TransportError:
-                self._failover(site)
-                await self._drop_client(site)
+                await self._failover(site)
                 continue
             status = reply.get("status")
             if status == "committed":
                 return True
             if await self._should_failover(site, status or "error"):
-                self._failover(site, leader_hint=reply.get("leader"))
-                await self._drop_client(site)
+                await self._failover(site, leader_hint=reply.get("leader"))
         return False
 
     async def _backoff(self, attempt: int) -> None:

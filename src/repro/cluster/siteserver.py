@@ -74,8 +74,6 @@ class _PendingLock:
         "span",
         "batch_rest",
         "last_probed",
-        "txn",
-        "entity",
     )
 
     def __init__(
@@ -84,20 +82,13 @@ class _PendingLock:
         request_id: int,
         enqueued_at: int,
         timer: asyncio.Task | None = None,
-        *,
-        txn: str = "",
-        entity: str = "",
     ) -> None:
         self.connection = connection
         self.request_id = request_id
         self.enqueued_at = enqueued_at
         self.timer = timer
-        #: Who waits, and on what — for the contention tally and the
-        #: status plane, which see the pending entry without its key.
-        self.txn = txn
-        self.entity = entity
         #: Wall-clock queue-entry stamp for the lock-wait stage.
-        self.queued_ns = 0
+        self.queued_ns = time.time_ns()
         #: Open ``site.lock_wait`` span (traced runs only).
         self.span = None
         #: Steps of a batch parked behind this queued lock: they run
@@ -176,11 +167,8 @@ class SiteServer:
         self.running = False
         for task in self._deferred_replies:
             task.cancel()
-        for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-            self._finish_wait(pending, "shutdown")
-        self._pending.clear()
+        for txn, entity in list(self._pending):
+            self._end_wait(txn, entity, "shutdown")
         for connection in self._peer_connections.values():
             await connection.close()
         self._peer_connections.clear()
@@ -240,7 +228,7 @@ class SiteServer:
                 site=self.site,
                 detail=kind,
             )
-        handler = getattr(self, f"_on_{kind}", None)
+        handler = self._handler_for(kind)
         if handler is None:
             if "id" in message:
                 await self._safe_send(
@@ -270,6 +258,12 @@ class SiteServer:
                 await handler(connection, message)
             finally:
                 self._trace_ctx = previous_ctx
+
+    def _handler_for(self, kind: str):
+        """The dispatch point: the coroutine method serving *kind*, or
+        ``None`` for an unknown kind.  :class:`repro.replica.server.
+        ReplicaServer` guards leader-only kinds here."""
+        return getattr(self, f"_on_{kind}", None)
 
     async def _safe_send(self, connection: Connection, message: dict) -> None:
         try:
@@ -302,48 +296,18 @@ class SiteServer:
         txn = message["txn"]
         entity = message["entity"]
         self._ages.setdefault(txn, int(message.get("age", 0)))
-        if self.locks.holder(entity) == txn:
-            # Retried request whose original grant reply was lost.
-            await self._reply_granted(connection, message["id"], txn, entity, 0)
-            return
-        existing = self._pending.get((txn, entity))
-        if existing is not None:
-            # Retried while the original request is still queued: the
-            # original waiter gave up client-side, so answer its id and
-            # re-point the pending entry (keeping its queue slot and
-            # timer) at the retry instead of installing a second entry
-            # whose stale timer would fire prematurely.
+        if await self._lock_step(connection, txn, entity, message["id"]) == "granted":
             await self._safe_send(
-                existing.connection,
-                protocol.reply(existing.request_id, "superseded", entity=entity),
+                connection, protocol.reply(message["id"], "granted", entity=entity)
             )
-            await self._cancel_batch_rest(existing)
-            existing.connection = connection
-            existing.request_id = message["id"]
-            return
-        self._probes_seen.clear()
-        if self.locks.try_lock(entity, txn):
-            distributed.WIRE.observe("lock_wait", 0, self.site)
-            self.insight.granted(entity)
-            await self._reply_granted(connection, message["id"], txn, entity, 0)
-            return
-        self.insight.blocked(entity, len(self.locks.waiters(entity)))
-        pending = _PendingLock(connection, message["id"], self.processed, txn=txn, entity=entity)
-        pending.queued_ns = time.time_ns()
-        wait_span = distributed.remote_span("site.lock_wait", self._trace_ctx)
-        if wait_span:
-            pending.span = wait_span.__enter__()
-            pending.span.set(site=self.site, txn=txn, entity=entity)
-        self._pending[(txn, entity)] = pending
-        if self.grant_timeout is not None:
-            pending.timer = asyncio.ensure_future(self._expire(txn, entity, self.grant_timeout))
-        blocker = self._blocker_of(txn, entity)
-        if blocker is not None and self.deadlock_policy is not None:
-            pending.last_probed = blocker
-            await self._broadcast_probe(
-                path=[{"txn": txn, "age": self._ages[txn], "site": self.site}],
-                target=blocker,
-            )
+
+    async def _on_unlock(self, connection: Connection, message: dict) -> None:
+        await self._unlock_step(message["txn"], message["entity"])
+        await self._safe_send(connection, protocol.reply(message["id"], "released"))
+
+    async def _on_update(self, connection: Connection, message: dict) -> None:
+        status, fields = self._update_step(message["txn"], message)
+        await self._safe_send(connection, protocol.reply(message["id"], status, **fields))
 
     # ------------------------------------------------------------------
     # Batched steps
@@ -376,9 +340,10 @@ class SiteServer:
         queue: list[dict],
         results: list[dict] | None = None,
     ) -> None:
-        """Run batched steps in order; *results* collects outcomes for
-        the single batch reply, ``None`` (the parked-continuation path)
-        answers each step with an individual reply instead."""
+        """Run batched steps in order through the step primitives;
+        *results* collects outcomes for the single batch reply,
+        ``None`` (the parked-continuation path) answers each step with
+        an individual reply instead."""
 
         async def answer(step_id: int, status: str, **fields) -> None:
             if results is not None:
@@ -392,122 +357,26 @@ class SiteServer:
             step_id = step["id"]
             entity = step.get("entity")
             if op == "lock":
-                parked, deferred = await self._batch_lock(connection, txn, entity, step_id, queue)
-                if parked or deferred:
-                    # Queued (rest now parked on the pending entry) or
-                    # grant-delay-faulted (lock held, reply deferred):
-                    # either way the final status arrives in a later
-                    # individual frame.
-                    if results is not None:
-                        results.append({"id": step_id, "status": "queued", "entity": entity})
-                    if parked:
-                        return
-                else:
+                outcome = await self._lock_step(connection, txn, entity, step_id, queue)
+                if outcome == "granted":
                     await answer(step_id, "granted", entity=entity)
+                    continue
+                # Queued (rest now parked on the pending entry) or
+                # grant-delay-faulted (lock held, reply deferred):
+                # either way the final status arrives in a later
+                # individual frame.
+                if results is not None:
+                    results.append({"id": step_id, "status": "queued", "entity": entity})
+                if outcome == "queued":
+                    return
             elif op == "unlock":
-                if self.locks.holder(entity) == txn:
-                    self.locks.unlock(entity, txn)
-                    self._probes_seen.clear()
-                    self._observe_hold(txn, entity)
-                    self._log_mutation("unlock", txn=txn, entity=entity)
-                    await self._promote(entity)
+                await self._unlock_step(txn, entity)
                 await answer(step_id, "released", entity=entity)
             elif op == "update":
-                if self.locks.holder(entity) != txn:
-                    await answer(
-                        step_id,
-                        "error",
-                        reason=f"{txn} updates {entity!r} without holding its lock",
-                    )
-                    continue
-                key = ("step", step["step"]) if "step" in step else ("id", step_id)
-                applied = self._applied_ids.setdefault(txn, set())
-                if key not in applied:
-                    applied.add(key)
-                    self._updates.setdefault(entity, []).append(txn)
-                    self._log_mutation("update", txn=txn, entity=entity, key=list(key))
-                    if self.event_log is not None:
-                        self.event_log.emit("step", transaction=txn, entity=entity, site=self.site)
-                await answer(step_id, "applied")
+                status, fields = self._update_step(txn, step)
+                await answer(step_id, status, **fields)
             else:
                 await answer(step_id, "error", reason=f"unknown batch op {op!r}")
-
-    async def _batch_lock(
-        self,
-        connection: Connection,
-        txn: str,
-        entity: str,
-        step_id: int,
-        rest: list[dict],
-    ) -> tuple[bool, bool]:
-        """One lock step inside a batch; ``(parked, deferred)``.
-
-        Mirrors :meth:`_on_lock` except the grant is *not* sent — the
-        caller reports it (inline in the batch reply, or as the
-        individual reply of a continuation).  ``parked`` means the lock
-        queued and the pending entry took ownership of *rest*;
-        ``deferred`` means the lock is held but a grant-delay fault is
-        holding the reply, which :meth:`_deliver_delayed_grant` sends
-        later.
-        """
-        if self.locks.holder(entity) == txn:
-            return False, await self._batch_granted(connection, txn, entity, step_id)
-        existing = self._pending.get((txn, entity))
-        if existing is not None:
-            # Same supersede rule as _on_lock: the retry takes over the
-            # queue slot and timer; a rest parked behind the original
-            # is cancelled and replaced by the retry's rest.
-            await self._safe_send(
-                existing.connection,
-                protocol.reply(existing.request_id, "superseded", entity=entity),
-            )
-            await self._cancel_batch_rest(existing)
-            existing.connection = connection
-            existing.request_id = step_id
-            existing.batch_rest = list(rest)
-            del rest[:]
-            return True, False
-        self._probes_seen.clear()
-        if self.locks.try_lock(entity, txn):
-            distributed.WIRE.observe("lock_wait", 0, self.site)
-            self.insight.granted(entity)
-            return False, await self._batch_granted(connection, txn, entity, step_id)
-        self.insight.blocked(entity, len(self.locks.waiters(entity)))
-        pending = _PendingLock(connection, step_id, self.processed, txn=txn, entity=entity)
-        pending.queued_ns = time.time_ns()
-        wait_span = distributed.remote_span("site.lock_wait", self._trace_ctx)
-        if wait_span:
-            pending.span = wait_span.__enter__()
-            pending.span.set(site=self.site, txn=txn, entity=entity)
-        pending.batch_rest = list(rest)
-        del rest[:]
-        self._pending[(txn, entity)] = pending
-        if self.grant_timeout is not None:
-            pending.timer = asyncio.ensure_future(self._expire(txn, entity, self.grant_timeout))
-        blocker = self._blocker_of(txn, entity)
-        if blocker is not None and self.deadlock_policy is not None:
-            pending.last_probed = blocker
-            await self._broadcast_probe(
-                path=[{"txn": txn, "age": self._ages[txn], "site": self.site}],
-                target=blocker,
-            )
-        return True, False
-
-    async def _batch_granted(
-        self, connection: Connection, txn: str, entity: str, step_id: int
-    ) -> bool:
-        """Grant bookkeeping for a batched lock (metrics, replication
-        log, grant-delay faults) without sending the reply; ``True``
-        when a grant-delay fault deferred the reply to a later frame."""
-        _grant_histogram().observe(0.0)
-        if distributed.WIRE.active:
-            self._grant_wall.setdefault((txn, entity), time.time_ns())
-        self._log_mutation("grant", txn=txn, entity=entity)
-        if self.faults is not None and self.faults.grant_delayed(entity, self.site):
-            task = asyncio.ensure_future(self._deliver_delayed_grant(connection, step_id, entity))
-            self._deferred_replies.append(task)
-            return True
-        return False
 
     async def _cancel_batch_rest(self, pending: _PendingLock) -> None:
         """Answer every step parked behind *pending* with
@@ -519,71 +388,151 @@ class SiteServer:
                 protocol.reply(step["id"], "cancelled", entity=step.get("entity")),
             )
 
-    async def _on_unlock(self, connection: Connection, message: dict) -> None:
-        txn = message["txn"]
-        entity = message["entity"]
+    # ------------------------------------------------------------------
+    # Step primitives
+    # ------------------------------------------------------------------
+    # A step has one executor.  These own every state change of lock /
+    # unlock / update together with its bookkeeping; a framing (single
+    # frame, batch loop, the parked continuation _promote runs) only
+    # decides how the outcome is answered.
+    async def _lock_step(
+        self,
+        connection: Connection,
+        txn: str,
+        entity: str,
+        request_id: int,
+        rest: list[dict] | None = None,
+    ) -> str:
+        """Execute one lock step; the caller answers it.
+
+        ``"granted"``: the lock is held and the grant is due now.
+        ``"deferred"``: held, but a grant-delay fault holds the reply,
+        which :meth:`_deliver_delayed_grant` sends later.  ``"queued"``:
+        the request waits — its pending entry owns *rest* (the steps
+        behind it in the same batch) from here on, and the final status
+        arrives in a later individual frame.
+        """
+        if self.locks.holder(entity) == txn:
+            # Retried request whose original grant reply was lost.
+            return self._record_grant(connection, request_id, txn, entity, 0)
+        pending = self._pending.get((txn, entity))
+        if pending is not None:
+            # Retried while the original request is still queued: the
+            # original waiter gave up client-side, so answer its id and
+            # re-point the pending entry (keeping its queue slot and
+            # timer) at the retry instead of installing a second entry
+            # whose stale timer would fire prematurely.  A rest parked
+            # behind the original is cancelled and replaced by the
+            # retry's rest.
+            await self._safe_send(
+                pending.connection,
+                protocol.reply(pending.request_id, "superseded", entity=entity),
+            )
+            await self._cancel_batch_rest(pending)
+            pending.connection = connection
+            pending.request_id = request_id
+            pending.batch_rest = rest
+            return "queued"
+        self._probes_seen.clear()
+        if self.locks.try_lock(entity, txn):
+            distributed.WIRE.observe("lock_wait", 0, self.site)
+            self.insight.granted(entity)
+            return self._record_grant(connection, request_id, txn, entity, 0)
+        self.insight.blocked(entity, len(self.locks.waiters(entity)))
+        pending = _PendingLock(connection, request_id, self.processed)
+        wait_span = distributed.remote_span("site.lock_wait", self._trace_ctx)
+        if wait_span:
+            pending.span = wait_span.__enter__()
+            pending.span.set(site=self.site, txn=txn, entity=entity)
+        pending.batch_rest = rest
+        self._pending[(txn, entity)] = pending
+        if self.grant_timeout is not None:
+            pending.timer = asyncio.ensure_future(self._expire(txn, entity, self.grant_timeout))
+        blocker = self._blocker_of(txn, entity)
+        if blocker is not None and self.deadlock_policy is not None:
+            pending.last_probed = blocker
+            await self._broadcast_probe(
+                path=[{"txn": txn, "age": self._ages[txn], "site": self.site}],
+                target=blocker,
+            )
+        return "queued"
+
+    async def _unlock_step(self, txn: str, entity: str) -> None:
+        """Execute one unlock step (a no-op unless *txn* holds
+        *entity*: a replayed unlock must stay idempotent)."""
         if self.locks.holder(entity) == txn:
             self.locks.unlock(entity, txn)
             self._probes_seen.clear()
             self._observe_hold(txn, entity)
             self._log_mutation("unlock", txn=txn, entity=entity)
             await self._promote(entity)
-        await self._safe_send(connection, protocol.reply(message["id"], "released"))
 
-    async def _on_update(self, connection: Connection, message: dict) -> None:
-        txn = message["txn"]
-        entity = message["entity"]
-        request_id = message["id"]
+    def _update_step(self, txn: str, spec: dict) -> tuple[str, dict]:
+        """Execute one update step; *spec* is the single frame or the
+        batch step (both carry ``entity``, ``id`` and the optional
+        ``step`` key).  Returns the status and fields to answer."""
+        entity = spec.get("entity")
         if self.locks.holder(entity) != txn:
-            await self._safe_send(
-                connection,
-                protocol.reply(
-                    request_id,
-                    "error",
-                    reason=f"{txn} updates {entity!r} without holding its lock",
-                ),
-            )
-            return
+            return "error", {"reason": f"{txn} updates {entity!r} without holding its lock"}
         # Dedupe on the coordinator-chosen step key when present: it is
         # stable across connections, so a step replayed after a leader
         # failover (new connection, new request ids) stays idempotent.
-        key = ("step", message["step"]) if "step" in message else ("id", request_id)
-        applied = self._applied_ids.setdefault(txn, set())
-        if key not in applied:
-            applied.add(key)
-            self._updates.setdefault(entity, []).append(txn)
+        key = ("step", spec["step"]) if "step" in spec else ("id", spec["id"])
+        if self._apply_update(txn, entity, key):
             self._log_mutation("update", txn=txn, entity=entity, key=list(key))
             if self.event_log is not None:
                 self.event_log.emit("step", transaction=txn, entity=entity, site=self.site)
-        await self._safe_send(connection, protocol.reply(request_id, "applied"))
+        return "applied", {}
+
+    # ------------------------------------------------------------------
+    # Durable mutations of the update log
+    # ------------------------------------------------------------------
+    # One primitive each; the handlers here and a follower's record
+    # replay (ReplicaServer._apply_record) both call them, so a replica
+    # applies the same operation its leader applied.
+    def _apply_update(self, txn: str, entity: str, key: tuple) -> bool:
+        """Append *txn* to *entity*'s tentative update order unless
+        *key* was applied before; returns whether it was appended."""
+        applied = self._applied_ids.setdefault(txn, set())
+        if key in applied:
+            return False
+        applied.add(key)
+        self._updates.setdefault(entity, []).append(txn)
+        return True
+
+    def _apply_release(self, txn: str) -> list[str]:
+        """Abort *txn*: drop its locks and queue slots, scrub its
+        tentative updates (a committed transaction's stay) and forget
+        its dedupe keys.  Returns the entities it held."""
+        released = self.locks.release_all(txn)
+        if txn not in self._committed:
+            for order in self._updates.values():
+                while txn in order:
+                    order.remove(txn)
+        self._applied_ids.pop(txn, None)
+        return released
+
+    def _apply_commit(self, txn: str) -> bool:
+        """Promote *txn*'s tentative updates into the committed site
+        orders; ``False`` when it already was committed."""
+        if txn in self._committed:
+            return False
+        self._committed.add(txn)
+        return True
 
     async def _on_release(self, connection: Connection, message: dict) -> None:
         """Abort: drop queue entries, locks and tentative updates."""
         txn = message["txn"]
         vacated = self.locks.queued_entities(txn)
         for entity in self._waiting_entities(txn):
-            stale = self._pending.pop((txn, entity), None)
-            if stale is None:
-                # Answered by a racing timeout or resolve between the
-                # snapshot above and this pop.
-                continue
-            if stale.timer is not None:
-                stale.timer.cancel()
-            self._finish_wait(stale, "aborted")
-            await self._safe_send(
-                stale.connection,
-                protocol.reply(stale.request_id, "aborted", entity=entity),
-            )
-            await self._cancel_batch_rest(stale)
-        released = self.locks.release_all(txn)
+            # A no-op for a wait a racing timeout or resolve answered
+            # between the snapshot above and here.  The queue slots are
+            # left to the release below, which drops them all at once.
+            await self._conclude(txn, entity, "aborted", withdraw=False)
+        released = self._apply_release(txn)
         self._probes_seen.clear()
         for entity in released:
             self._observe_hold(txn, entity)
-        if txn not in self._committed:
-            for order in self._updates.values():
-                while txn in order:
-                    order.remove(txn)
-        self._applied_ids.pop(txn, None)
         self._log_mutation("release", txn=txn)
         if self.event_log is not None:
             self.event_log.emit(
@@ -604,7 +553,7 @@ class SiteServer:
 
     async def _on_commit(self, connection: Connection, message: dict) -> None:
         txn = message["txn"]
-        self._committed.add(txn)
+        self._apply_commit(txn)
         if self.event_log is not None:
             self.event_log.emit("complete", transaction=txn, site=self.site)
         await self._safe_send(connection, protocol.reply(message["id"], "committed"))
@@ -717,31 +666,59 @@ class SiteServer:
         if granted is not None:
             distributed.WIRE.observe("hold", time.time_ns() - granted, self.site)
 
-    def _finish_wait(self, pending: _PendingLock, result: str) -> None:
-        """Close a blocked request's lock-wait bookkeeping: record the
-        lock-wait stage and end its ``site.lock_wait`` span (if any)
-        with the outcome in *result*."""
-        if pending.queued_ns:
-            waited = time.time_ns() - pending.queued_ns
-            distributed.WIRE.observe("lock_wait", waited, self.site)
-            if pending.entity:
-                self.insight.waited(pending.entity, waited, result)
-        else:  # pragma: no cover - observer enabled mid-wait
-            waited = 0
+    def _end_wait(self, txn: str, entity: str, result: str) -> _PendingLock | None:
+        """Take a blocked request off the pending table: stop its grant
+        timer, record the lock-wait stage and end its ``site.lock_wait``
+        span (if any) with the outcome in *result*.  ``None`` when
+        nothing is pending (a racing conclusion already took it)."""
+        pending = self._pending.pop((txn, entity), None)
+        if pending is None:
+            return None
+        if pending.timer is not None:
+            pending.timer.cancel()
+        waited = time.time_ns() - pending.queued_ns
+        distributed.WIRE.observe("lock_wait", waited, self.site)
+        self.insight.waited(entity, waited, result)
         span = pending.span
         if span is not None:
             span.set(result=result, lock_wait_ns=waited)
             span.__exit__(None, None, None)
             pending.span = None
+        return pending
 
-    async def _reply_granted(
+    async def _conclude(
+        self, txn: str, entity: str, status: str, *, withdraw: bool = True, **fields
+    ) -> bool:
+        """Conclude a blocked wait any way but a grant: end the wait,
+        give up its queue slot, answer the request *status* and answer
+        the steps parked behind it ``cancelled``.  What differs per
+        cause (promote, reprobe) stays with the caller.  ``False`` when
+        nothing was pending."""
+        pending = self._end_wait(txn, entity, status)
+        if pending is None:
+            return False
+        if withdraw:
+            self.locks.withdraw(entity, txn)
+        await self._safe_send(
+            pending.connection,
+            protocol.reply(pending.request_id, status, entity=entity, **fields),
+        )
+        await self._cancel_batch_rest(pending)
+        return True
+
+    def _record_grant(
         self,
         connection: Connection,
         request_id: int,
         txn: str,
         entity: str,
         latency: int,
-    ) -> None:
+    ) -> str:
+        """The bookkeeping of every grant — immediate, promoted, inside
+        a batch or re-granted to a retry: metrics, the hold stamp, the
+        replication log, grant-delay faults.  ``"granted"`` when the
+        caller should answer now, ``"deferred"`` when a grant-delay
+        fault took the reply over."""
         _grant_histogram().observe(float(latency))
         if distributed.WIRE.active:
             self._grant_wall.setdefault((txn, entity), time.time_ns())
@@ -751,8 +728,8 @@ class SiteServer:
                 self._deliver_delayed_grant(connection, request_id, entity)
             )
             self._deferred_replies.append(task)
-            return
-        await self._safe_send(connection, protocol.reply(request_id, "granted", entity=entity))
+            return "deferred"
+        return "granted"
 
     async def _deliver_delayed_grant(
         self, connection: Connection, request_id: int, entity: str
@@ -769,7 +746,7 @@ class SiteServer:
         head = self.locks.next_waiter(entity)
         if head is None or self.locks.holder(entity) is not None:
             return
-        pending = self._pending.pop((head, entity), None)
+        pending = self._pending.get((head, entity))
         if pending is None:
             # Withdrawn (timeout/abort) but still queued: clean up and
             # look at the next waiter.
@@ -777,18 +754,20 @@ class SiteServer:
             await self._promote(entity)
             return
         if not self.locks.try_lock(entity, head):  # pragma: no cover
-            self._pending[(head, entity)] = pending
             return
-        if pending.timer is not None:
-            pending.timer.cancel()
-        self._finish_wait(pending, "granted")
-        await self._reply_granted(
+        self._end_wait(head, entity, "granted")
+        granted = self._record_grant(
             pending.connection,
             pending.request_id,
             head,
             entity,
             self.processed - pending.enqueued_at,
         )
+        if granted == "granted":
+            await self._safe_send(
+                pending.connection,
+                protocol.reply(pending.request_id, "granted", entity=entity),
+            )
         rest, pending.batch_rest = pending.batch_rest, None
         if rest:
             # The grant unparks the rest of the waiter's batch; each
@@ -800,11 +779,10 @@ class SiteServer:
     async def _expire(self, txn: str, entity: str, timeout: int) -> None:
         """Withdraw a request still queued after *timeout* ticks."""
         await self.transport.sleep(timeout)
-        pending = self._pending.pop((txn, entity), None)
+        pending = self._pending.get((txn, entity))
         if pending is None:
             return
-        self._finish_wait(pending, "timeout")
-        self.locks.withdraw(entity, txn)
+        pending.timer = None  # this very task: concluding must not cancel it
         self._probes_seen.clear()
         if self.event_log is not None:
             self.event_log.emit(
@@ -814,11 +792,7 @@ class SiteServer:
                 site=self.site,
                 detail=f"lock-grant timeout after {timeout} ticks",
             )
-        await self._safe_send(
-            pending.connection,
-            protocol.reply(pending.request_id, "timeout", entity=entity),
-        )
-        await self._cancel_batch_rest(pending)
+        await self._conclude(txn, entity, "timeout")
         await self._promote(entity)
         await self._reprobe(entity)
 
@@ -963,23 +937,8 @@ class SiteServer:
         victim = message["victim"]
         self._probes_seen.clear()
         for entity in self._waiting_entities(victim):
-            pending = self._pending.pop((victim, entity), None)
-            if pending is None:
-                continue
-            if pending.timer is not None:
-                pending.timer.cancel()
-            self._finish_wait(pending, "deadlock")
-            self.locks.withdraw(entity, victim)
-            await self._safe_send(
-                pending.connection,
-                protocol.reply(
-                    pending.request_id,
-                    "deadlock",
-                    entity=entity,
-                    victim=victim,
-                    cycle=message.get("cycle", []),
-                ),
-            )
-            await self._cancel_batch_rest(pending)
-            await self._promote(entity)
-            await self._reprobe(entity)
+            if await self._conclude(
+                victim, entity, "deadlock", victim=victim, cycle=message.get("cycle", [])
+            ):
+                await self._promote(entity)
+                await self._reprobe(entity)

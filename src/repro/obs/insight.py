@@ -272,7 +272,7 @@ class ContentionTally:
         return out[:limit] if limit is not None else out
 
 
-#: Span name of a queued lock wait (see ``SiteServer._finish_wait``).
+#: Span name of a queued lock wait (see ``SiteServer._end_wait``).
 LOCK_WAIT_SPAN = "site.lock_wait"
 
 

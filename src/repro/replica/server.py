@@ -160,9 +160,17 @@ class ReplicaServer(SiteServer):
     # ------------------------------------------------------------------
     # Leader-only guard on client traffic
     # ------------------------------------------------------------------
-    async def _require_leader(self, connection: Connection, message: dict) -> bool:
-        if self.is_leader():
-            return True
+    def _handler_for(self, kind: str):
+        """The one guard: a follower answers every leader-only kind
+        with the redirect instead of its handler.  For ``batch`` the
+        redirect is batch-level: the coordinator resolves every step of
+        a not-leader batch against the same redirect and replays the
+        attempt at the new leader."""
+        if kind in LEADER_ONLY_KINDS and not self.is_leader():
+            return self._redirect
+        return super()._handler_for(kind)
+
+    async def _redirect(self, connection: Connection, message: dict) -> None:
         await self._safe_send(
             connection,
             protocol.reply(
@@ -172,30 +180,6 @@ class ReplicaServer(SiteServer):
                 epoch=self.epoch,
             ),
         )
-        return False
-
-    async def _on_lock(self, connection: Connection, message: dict) -> None:
-        if await self._require_leader(connection, message):
-            await super()._on_lock(connection, message)
-
-    async def _on_unlock(self, connection: Connection, message: dict) -> None:
-        if await self._require_leader(connection, message):
-            await super()._on_unlock(connection, message)
-
-    async def _on_update(self, connection: Connection, message: dict) -> None:
-        if await self._require_leader(connection, message):
-            await super()._on_update(connection, message)
-
-    async def _on_release(self, connection: Connection, message: dict) -> None:
-        if await self._require_leader(connection, message):
-            await super()._on_release(connection, message)
-
-    async def _on_batch(self, connection: Connection, message: dict) -> None:
-        # The redirect is batch-level: the coordinator resolves every
-        # step of a not-leader batch against the same redirect and
-        # replays the attempt at the new leader.
-        if await self._require_leader(connection, message):
-            await super()._on_batch(connection, message)
 
     # ------------------------------------------------------------------
     # Log shipping
@@ -281,40 +265,29 @@ class ReplicaServer(SiteServer):
     # Acked commit point
     # ------------------------------------------------------------------
     async def _on_commit(self, connection: Connection, message: dict) -> None:
-        if not await self._require_leader(connection, message):
-            return
         txn = message["txn"]
-        if txn not in self._committed:
-            self._committed.add(txn)
+        if self._apply_commit(txn):
             self.log.append("commit", txn=txn)
         await self._ship_outstanding()
         if not self.is_leader():
             # Deposed mid-ship by a ``stale`` reply: the client must
             # re-commit at the new leader (commit is idempotent).
-            await self._safe_send(
-                connection,
-                protocol.reply(
-                    message["id"],
-                    "not-leader",
-                    leader=self.leader_address,
-                    epoch=self.epoch,
-                ),
-            )
+            await self._redirect(connection, message)
             return
         if self.event_log is not None:
             self.event_log.emit("complete", transaction=txn, site=self.address)
         await self._safe_send(connection, protocol.reply(message["id"], "committed"))
 
-    async def _reply_granted(
+    def _record_grant(
         self,
         connection: Connection,
         request_id: int,
         txn: str,
         entity: str,
         latency: int,
-    ) -> None:
+    ) -> str:
         self.group.note_grant(self.epoch, self.clock.now)
-        await super()._reply_granted(connection, request_id, txn, entity, latency)
+        return super()._record_grant(connection, request_id, txn, entity, latency)
 
     # ------------------------------------------------------------------
     # Replication protocol handlers
@@ -552,21 +525,9 @@ class ReplicaServer(SiteServer):
             # Waiters queued here will never be granted by this
             # replica; answer them now so their coordinators re-resolve
             # instead of burning a wall-clock timeout each.
-            for (txn, entity), pending in list(self._pending.items()):
-                del self._pending[(txn, entity)]
-                if pending.timer is not None:
-                    pending.timer.cancel()
-                self._finish_wait(pending, "not-leader")
-                self.locks.withdraw(entity, txn)
-                await self._safe_send(
-                    pending.connection,
-                    protocol.reply(
-                        pending.request_id,
-                        "not-leader",
-                        entity=entity,
-                        leader=self.leader_address,
-                        epoch=self.epoch,
-                    ),
+            for txn, entity in list(self._pending):
+                await self._conclude(
+                    txn, entity, "not-leader", leader=self.leader_address, epoch=self.epoch
                 )
 
     async def _one_shot(
@@ -591,7 +552,8 @@ class ReplicaServer(SiteServer):
     # Record replay (follower side)
     # ------------------------------------------------------------------
     def _apply_record(self, record: dict) -> None:
-        """Mirror one shipped mutation into this replica's state."""
+        """Mirror one shipped mutation into this replica's state —
+        through the primitives the leader applied it with."""
         op = record["op"]
         txn = record.get("txn")
         entity = record.get("entity")
@@ -605,17 +567,10 @@ class ReplicaServer(SiteServer):
                 self.locks.unlock(entity, txn)
         elif op == "update":
             key = record.get("key")
-            marker = tuple(key) if key is not None else ("seq", record["seq"])
-            applied = self._applied_ids.setdefault(txn, set())
-            if marker not in applied:
-                applied.add(marker)
-                self._updates.setdefault(entity, []).append(txn)
+            self._apply_update(
+                txn, entity, tuple(key) if key is not None else ("seq", record["seq"])
+            )
         elif op == "release":
-            self.locks.release_all(txn)
-            if txn not in self._committed:
-                for order in self._updates.values():
-                    while txn in order:
-                        order.remove(txn)
-            self._applied_ids.pop(txn, None)
+            self._apply_release(txn)
         elif op == "commit":
-            self._committed.add(txn)
+            self._apply_commit(txn)

@@ -190,3 +190,47 @@ class TestCommitDurability:
                 await transport.close()
 
         asyncio.run(run())
+
+
+class TestDeposedLeader:
+    def test_deposed_leader_cancels_steps_parked_behind_a_queued_lock(self):
+        """Regression: a leader deposed while a batched lock waits in
+        its queue answered the lock ``not-leader`` but never the steps
+        parked behind it, so their coordinator futures hung until the
+        request timeout."""
+
+        async def run():
+            transport = MemoryTransport()
+            group = ReplicaGroup(1, 1)
+            server = ReplicaServer(group, 0, transport=transport, clock=LogicalClock())
+            await server.start()
+            try:
+                holder = await transport.connect(server.address)
+                waiter = await transport.connect(server.address)
+                await holder.send(protocol.request("lock", 1, txn="T1", entity="x", age=0))
+                assert (await holder.recv())["status"] == "granted"
+                await waiter.send(
+                    protocol.request(
+                        "batch",
+                        1,
+                        txn="T2",
+                        age=1,
+                        steps=[
+                            {"op": "lock", "id": 10, "entity": "x"},
+                            {"op": "update", "id": 11, "entity": "x", "step": 1},
+                            {"op": "unlock", "id": 12, "entity": "x"},
+                        ],
+                    )
+                )
+                queued = await waiter.recv()
+                assert queued["results"] == [{"id": 10, "status": "queued", "entity": "x"}]
+                await server._accept_leader(1001, 2)
+                return [await asyncio.wait_for(waiter.recv(), 1.0) for _ in range(3)]
+            finally:
+                await server.stop()
+                await transport.close()
+
+        lock, *parked = asyncio.run(run())
+        assert (lock["id"], lock["status"]) == (10, "not-leader")
+        assert (lock["leader"], lock["epoch"]) == (1001, 2)
+        assert [(m["id"], m["status"]) for m in parked] == [(11, "cancelled"), (12, "cancelled")]

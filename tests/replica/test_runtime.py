@@ -1,13 +1,19 @@
 """The replicated runtime: report shape, determinism, validation."""
 
+import re
+
 import pytest
 
 from repro.cluster import LatencyMatrix
 from repro.cluster.runtime import ClusterError
+from repro.core.schedule import TransactionSystem
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan, SiteCrash
 from repro.obs.distributed import WIRE
+from repro.obs.events import EventLog
 from repro.replica import ReplicaReport, run_replicated_sync
+
+from .conftest import chain_tx
 
 
 class TestHealthyRun:
@@ -50,6 +56,54 @@ class TestHealthyRun:
         assert first.history_fingerprint == second.history_fingerprint
         # Outcomes too — including the retry schedule each txn took.
         assert first.outcome_fingerprint == second.outcome_fingerprint
+
+
+def first_grant_clocks(log):
+    """Replica address -> shared-clock tick of the first lock grant
+    there, read off the timeline: the tick stamped on the next frame
+    sent after the ``grant`` event (the reply leaves inside the handler
+    that granted, so no tick intervenes)."""
+    clocks, granted_at = {}, None
+    for event in log.events:
+        if event.kind == "grant" and event.site not in clocks:
+            granted_at = event.site
+        elif event.kind == "send" and granted_at is not None:
+            clocks[granted_at] = int(re.search(r"clock=(\d+)", event.detail).group(1))
+            granted_at = None
+    return clocks
+
+
+class TestFirstGrantStamp:
+    """``elections[*].first_grant_at`` (what recovery time is measured
+    to) is the leader's *first* grant, however the grant was framed.
+    Regression: grants answered inline in a ``batch`` reply bypassed
+    the stamp, so batched runs recorded the first *promoted* grant —
+    or nothing at all when no lock ever queued."""
+
+    def test_uncontended_batched_run_stamps_both_boot_leaders(self, two_site_db):
+        system = TransactionSystem([chain_tx("T1", two_site_db, ["x", "y"])])
+        report = run_replicated_sync(system, replicas=3, batch=True)
+        assert report.committed == 1
+        assert [e["first_grant_at"] is not None for e in report.elections] == [True, True]
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_stamp_is_the_clock_of_the_first_grant(self, transfer_system, batch):
+        log = EventLog()
+        report = run_replicated_sync(
+            transfer_system,
+            replicas=3,
+            batch=batch,
+            rounds=25,
+            max_retries=16,
+            concurrency=4,
+            seed=14,
+            event_log=log,
+        )
+        # Followers mute their lock events, so the timeline's grants
+        # are exactly the two boot leaders'.
+        stamps = {e["address"]: e["first_grant_at"] for e in report.elections}
+        assert stamps == first_grant_clocks(log)
+        assert set(stamps) == {1000, 2000}
 
 
 class TestGoldenOracle:

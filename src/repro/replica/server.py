@@ -24,8 +24,9 @@ expired) campaigns: it picks an epoch above every one it has promised,
 collects single-decree-Paxos-style votes (granted iff the epoch beats
 the voter's promise), and on majority quorum catches up from the most
 advanced voter (``fetch_log``) before assuming leadership.  Epoch
-fencing keeps the old leader safe to ignore: its ships are answered
-``stale``, which demotes it.
+fencing stops the old leader's *ships*: they are answered ``stale``,
+which demotes it.  Until then it still serves client traffic — the
+open hole docs/replication.md describes.
 
 There are no background timers — every transition is message-driven,
 so memory-transport runs remain deterministic.

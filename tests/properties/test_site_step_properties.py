@@ -136,8 +136,9 @@ def frames_of(script, framing):
                 and previous.kind in STEP_KINDS
             )
             if not same_run:
-                run = ended.get(op.txn) if previous is not None and previous.kind == "unlock" else None
-                if run is None or framing != "pipelined":
+                after_unlock = previous is not None and previous.kind == "unlock"
+                run = ended.get(op.txn) if framing == "pipelined" and after_unlock else None
+                if run is None:
                     run = []
                     frames.append((op.txn, "batch", run))
             run.append(op)

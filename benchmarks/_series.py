@@ -3,6 +3,9 @@
 Each experiment prints the series the paper's claim concerns (and the
 reproduction's measured shape) to stdout *and* persists it under
 ``benchmarks/results/`` so EXPERIMENTS.md can be regenerated from a run.
+A ``REPRO_BENCH_QUICK`` run (CI's smoke mode) persists to the
+git-ignored ``.bench_out/`` instead: quick-mode numbers must never
+overwrite the committed full-mode series.
 """
 
 from __future__ import annotations
@@ -12,7 +15,11 @@ import os
 import pathlib
 from collections.abc import Sequence
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+RESULTS_DIR = (
+    pathlib.Path(__file__).parent.parent / ".bench_out"
+    if os.environ.get("REPRO_BENCH_QUICK")
+    else pathlib.Path(__file__).parent / "results"
+)
 
 
 def metrics_snapshot(stats=None, cache=None, *, decisions=False) -> dict:
@@ -38,26 +45,6 @@ def metrics_snapshot(stats=None, cache=None, *, decisions=False) -> dict:
         dump = metrics.REGISTRY.to_dict().get("repro_decisions_total", {})
         snapshot["decisions"] = dump.get("series", {})
     return snapshot
-
-
-def write_json(name: str, payload: dict) -> pathlib.Path:
-    """Merge *payload* into ``results/<name>.json`` (machine-readable
-    perf trajectory; keys from earlier calls in the same run survive).
-
-    Returns the path written, so experiments can mention it in their
-    text output.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    merged: dict = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text())
-        except (OSError, ValueError):
-            merged = {}
-    merged.update(payload)
-    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def write_bench(

@@ -23,16 +23,23 @@ The claims under test:
 
 Results land in ``results/BENCH_replica.json`` in the standard
 envelope.  ``REPRO_BENCH_QUICK=1`` shrinks the sweep for smoke runs.
+
+This harness outlived the other system benches (E14, E15 and E17 are
+measured by ``benchmarks/suite`` now) because no suite workload kills
+a leader yet; it stays until one does.
 """
 
 import os
 
+from repro.core.entity import DistributedDatabase
+from repro.core.schedule import TransactionSystem
+from repro.core.step import lock, unlock, update
+from repro.core.transaction import Transaction
 from repro.faults.plan import FaultPlan, SiteCrash
 from repro.replica import run_replicated_sync
 from repro.sim.analysis import serializable_from_site_orders
 
 from _series import report, table, write_bench
-from bench_cluster_throughput import transfer_pair
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 ROUNDS = 3 if QUICK else 10
@@ -45,6 +52,22 @@ REQUEST_TIMEOUT = 1.0
 #: Failover aborts in-flight transactions; give them room to requeue.
 MAX_RETRIES = 8
 GROUP_SIZES = (1, 3, 5)
+
+
+def transfer_pair():
+    """E14's pair: two 2PL transactions over a two-site database,
+    locking the entities in opposite orders (deadlock-capable)."""
+    database = DistributedDatabase({"x": 1, "y": 2})
+
+    def chain(name, entities):
+        steps = []
+        for entity in entities:
+            steps += [lock(entity), update(entity)]
+        steps += [unlock(entity) for entity in entities]
+        order = list(zip(steps, steps[1:]))
+        return Transaction(name, database, steps, order)
+
+    return TransactionSystem([chain("T1", ["x", "y"]), chain("T2", ["y", "x"])])
 
 
 def _throughput(transactions, seconds):

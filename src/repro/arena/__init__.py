@@ -7,7 +7,8 @@ through :func:`repro.cluster.run_cluster` on a fresh deterministic
 cluster, and reports throughput, p50/p99 latency and abort/retry rates
 per cell — with every committed history still passing the
 serializability audit, faults or not.  ``repro arena`` is the CLI
-front end; :mod:`benchmarks.bench_arena_matrix` pins the numbers.
+front end; ``tests/arena`` pins the contracts and the benchmark suite's
+``admit-2pl-zipf`` workload measures the ``2pl × zipfian-hot`` cell.
 """
 
 from .report import ArenaCell, ArenaReport

@@ -6,7 +6,7 @@ throughput, p50/p99 transaction latency, abort/retry rates — plus the
 two determinism fingerprints and the serializability audit verdict.
 The scalar metrics are wall-clock and vary run to run; the
 fingerprints and the audit are exact, and they are what the arena's
-CI smoke and the E17 benchmark assert on.
+CI smoke and ``tests/arena`` (E17's contracts) assert on.
 """
 
 from __future__ import annotations

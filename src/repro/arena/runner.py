@@ -12,8 +12,8 @@ cell-specific deterministic seed, and collects one
 Cells are seeded by ``crc32(seed / policy / workload / plan)``, so a
 cell's memory-transport fingerprints are a pure function of the arena
 seed and the cell's coordinates — stable across processes and across
-re-orderings of the sweep, which is what lets the E17 benchmark assert
-bit-identical reruns cell by cell.
+re-orderings of the sweep, which is what lets ``tests/arena`` and the
+CI smoke (E17's contracts) assert bit-identical reruns cell by cell.
 """
 
 from __future__ import annotations

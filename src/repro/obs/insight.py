@@ -110,8 +110,7 @@ class FlightRecorder:
 
         This runs once per wire frame — the recorder's entire cost in a
         run is ~this method, so it builds one dict literal and inlines
-        the ring bookkeeping rather than going through :meth:`record`
-        (E18 gates the difference against the observability budget).
+        the ring bookkeeping rather than going through :meth:`record`.
         """
         get = message.get
         entry = {

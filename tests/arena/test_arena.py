@@ -4,7 +4,7 @@ What the E17 acceptance hinges on: cell seeds are a pure function of
 the arena seed and the cell coordinates; a memory-transport cell's
 fingerprints are bit-identical when re-run standalone; every cell of a
 fault-free and a faulted sweep passes the serializability audit; and
-the report's JSON shape is what the benchmark gate reads.
+the report's JSON shape is what CI's ``arena-smoke`` job reads.
 """
 
 import json

@@ -334,19 +334,20 @@ class TestBatchedRuntime:
         # Batching reshapes message timing and so may reschedule, but
         # the codec is pure framing: json and binary runs of the same
         # batch mode must agree on every outcome.
-        json_run, binary_run = (
-            run_cluster_sync(
-                deadlock_prone_system,
-                rounds=3,
-                seed=11,
-                max_retries=8,
-                codec=codec,
-                batch=True,
+        for batch in (False, True):
+            json_run, binary_run = (
+                run_cluster_sync(
+                    deadlock_prone_system,
+                    rounds=3,
+                    seed=11,
+                    max_retries=8,
+                    codec=codec,
+                    batch=batch,
+                )
+                for codec in ("json", "binary")
             )
-            for codec in ("json", "binary")
-        )
-        assert binary_run.outcome_fingerprint == json_run.outcome_fingerprint
-        assert binary_run.history_fingerprint == json_run.history_fingerprint
+            assert binary_run.outcome_fingerprint == json_run.outcome_fingerprint
+            assert binary_run.history_fingerprint == json_run.history_fingerprint
 
     def test_partial_order_systems_commit_batched(self):
         # Batched shipping must respect poset predecessors across

@@ -10,6 +10,7 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan, GrantDelay, MessageDrop, SiteCrash
 from repro.obs.distributed import WIRE
 from repro.obs.events import EventLog
+from repro.sim.analysis import serializable_from_site_orders
 from repro.workloads import figure_1
 
 
@@ -31,7 +32,11 @@ class TestSafeWorkloads:
         assert "T1" in names and "T1@r2" in names and "T1@r3" in names
         assert len(names) == 6
 
-    def test_tcp_transport_run(self, deadlock_prone_system):
+    @pytest.mark.parametrize("batch", [False, True], ids=["nobatch", "batch"])
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_tcp_transport_run(self, deadlock_prone_system, codec, batch):
+        # Every wire configuration commits the whole workload over real
+        # sockets, and the site orders pass an audit of their own.
         report = run_cluster_sync(
             deadlock_prone_system,
             transport="tcp",
@@ -39,9 +44,13 @@ class TestSafeWorkloads:
             seed=1,
             max_retries=8,
             request_timeout=30.0,
+            codec=codec,
+            batch=batch,
         )
         assert report.transport == "tcp"
         assert report.serializable
+        assert report.audit_complete
+        assert serializable_from_site_orders(report.site_orders)
         assert report.committed == report.transactions
 
 

@@ -65,6 +65,36 @@ class TestStatusRequest:
         assert reply["wait_for"] == [["T2", "T1"]]
         assert reply["contention"][0]["entity"] == "x"
 
+    def test_status_answers_while_another_connection_hammers(self):
+        # The status plane must not queue behind workload traffic: every
+        # probe completes while a second connection locks and unlocks
+        # on the same site in a tight loop.
+        async def scenario():
+            transport = MemoryTransport()
+            server = SiteServer(1, transport=transport)
+            await server.start()
+            load = await transport.connect(1)
+            probe = await transport.connect(1)
+            rounds = 0
+
+            async def hammer():
+                nonlocal rounds
+                while True:
+                    await _rpc(load, "lock", 2 * rounds + 1, txn="L", entity="x", age=0)
+                    await _rpc(load, "unlock", 2 * rounds + 2, txn="L", entity="x")
+                    rounds += 1
+
+            hammering = asyncio.ensure_future(hammer())
+            replies = [await _rpc(probe, "status", n) for n in range(1, 21)]
+            hammering.cancel()
+            await asyncio.gather(hammering, return_exceptions=True)
+            await transport.close()
+            return replies, rounds
+
+        replies, rounds = run(scenario())
+        assert [reply["status"] for reply in replies] == ["status"] * 20
+        assert rounds > 0, "the load connection never got a turn"
+
     def test_inspect_entity_and_txn(self):
         async def scenario():
             transport = MemoryTransport()

@@ -68,13 +68,22 @@ class TestDistributedTracing:
 
 
 class TestWireMetrics:
-    def test_all_stages_recorded(self, deadlock_prone_system):
-        run_cluster_sync(
+    @pytest.mark.parametrize("batch", [False, True], ids=["nobatch", "batch"])
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_all_stages_recorded(
+        self, deadlock_prone_system, transport, codec, batch
+    ):
+        report = run_cluster_sync(
             deadlock_prone_system,
+            transport=transport,
             rounds=1,
             seed=3,
             max_retries=16,
+            request_timeout=30.0 if transport == "tcp" else None,
             wire_metrics=True,
+            codec=codec,
+            batch=batch,
         )
         series = REGISTRY.get("repro_cluster_latency_ns").to_dict()["series"]
         stages = {
@@ -83,6 +92,12 @@ class TestWireMetrics:
             if any(f'stage="{stage}"' in key for key in series)
         }
         assert len(stages) == 5
+        # Batch frames carry steps exactly when batching is on.
+        batched = REGISTRY.get("repro_cluster_batched_steps_total")
+        carried = batched.to_dict()["series"] if batched is not None else {}
+        sent = sum(n for key, n in carried.items() if 'direction="sent"' in key)
+        assert (sent > 0) == batch
+        assert report.committed == report.transactions
         assert REGISTRY.get("repro_cluster_messages_total") is not None
         assert REGISTRY.get("repro_cluster_bytes_total") is not None
 

@@ -111,7 +111,7 @@ class TestRecorderInCluster:
         second = FlightRecorder()
         run_cluster_sync(contended_system, rounds=2, seed=11, recorder=first)
         run_cluster_sync(contended_system, rounds=2, seed=11, recorder=second)
-        assert first.seq == second.seq
+        assert first.seq == second.seq > 0
         assert first.to_jsonl() == second.to_jsonl()
 
     def test_outcome_fingerprint_identical_recorder_on_vs_off(
@@ -125,6 +125,7 @@ class TestRecorderInCluster:
         )
         assert instrumented.outcome_fingerprint == bare.outcome_fingerprint
         assert instrumented.history_fingerprint == bare.history_fingerprint
+        assert instrumented.committed == bare.committed == bare.transactions
 
     def test_disabled_recorder_records_nothing(self, contended_system):
         ring = FlightRecorder()

@@ -4,6 +4,7 @@ every public item has a docstring, and the docs index exists."""
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -87,3 +88,38 @@ class TestDocFiles:
     def test_docs_directory_complete(self, filename):
         path = ROOT / "docs" / filename
         assert path.exists() and path.stat().st_size > 500
+
+    def test_named_benchmarks_tools_and_results_exist(self):
+        # A harness, tool or result file named in live prose, CI or a
+        # docstring must be in the tree: deleting one means restating
+        # every sentence that leaned on it.  (CHANGES.md, ROADMAP.md and
+        # ISSUE.md are history and may name what is gone.)
+        sources = [
+            path
+            for pattern in (
+                "README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
+                ".github/workflows/ci.yml", "benchmarks/*.py", "tools/*.py",
+                "src/**/*.py",
+            )
+            for path in sorted(ROOT.glob(pattern))
+        ]
+        # (pattern, folder the name lives in, suffix the match leaves off);
+        # a name may be a glob (``results/BENCH_*.json``).
+        references = [
+            (r"\bbench_[\w*]+\.py\b", "benchmarks", ""),
+            (r"\bbenchmarks\.(bench_\w+)", "benchmarks", ".py"),
+            (r"\btools/(\w+\.py)\b", "tools", ""),
+            (r"\bresults/([\w*.-]+\.\w+)", "benchmarks/results", ""),
+            (r"\bBENCH_[\w*]+\.json\b", "benchmarks/results", ""),
+        ]
+        dangling = set()
+        for path in sources:
+            text = path.read_text(encoding="utf-8")
+            for regex, folder, suffix in references:
+                for match in re.finditer(regex, text):
+                    name = match.group(match.lastindex or 0) + suffix
+                    if not any((ROOT / folder).glob(name)):
+                        dangling.add(f"{path.relative_to(ROOT)}: {folder}/{name}")
+        assert not dangling, "references to files not in the tree:\n" + "\n".join(
+            sorted(dangling)
+        )

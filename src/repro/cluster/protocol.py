@@ -38,8 +38,8 @@ and consumed by :mod:`repro.obs.distributed`:
   sender's open span, so the receiver can parent its own span across
   the process boundary;
 * ``wire`` — ``{"send_ns": ...}`` stamped by the sending transport
-  (the receiver adds ``recv_ns``), feeding the per-stage latency
-  histograms.
+  while wire metrics or tracing are on (the receiver adds
+  ``recv_ns``), feeding the per-stage latency histograms.
 
 Decoding tolerates both fields' absence — frames from nodes that
 predate them (or run with observability off) are served identically,
@@ -110,17 +110,23 @@ class WireCodec:
         raise NotImplementedError
 
 
+# Built once: the ``json`` module's convenience functions construct an
+# encoder per call when given options, a measurable share of a frame.
+_json_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_json_decode = json.JSONDecoder().decode
+
+
 class JsonCodec(WireCodec):
     """Compact, key-sorted JSON (the original wire format)."""
 
     name = "json"
 
     def encode_payload(self, message: dict) -> bytes:
-        return json.dumps(message, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        return _json_encode(message).encode("utf-8")
 
     def decode_payload(self, payload: bytes) -> dict:
         try:
-            message = json.loads(payload.decode("utf-8"))
+            message = _json_decode(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise ProtocolError(f"frame payload is not valid JSON: {exc}") from None
         if not isinstance(message, dict):
@@ -131,6 +137,7 @@ class JsonCodec(WireCodec):
 #: First byte of every binary payload.  ``0xB1`` is not valid UTF-8
 #: JSON start, so receivers can tell the codecs apart per frame.
 BINARY_MAGIC = 0xB1
+_BINARY_PREFIX = bytes((BINARY_MAGIC,))
 
 # Binary type tags.  Small non-negative ints (< 0x80) are encoded as
 # themselves in one byte; everything else is a tag byte + struct body.
@@ -382,7 +389,7 @@ def decode_payload(payload: bytes) -> dict:
     """Parse a frame payload (prefix already stripped), auto-detecting
     the codec by its first byte — binary payloads start with
     :data:`BINARY_MAGIC`, JSON payloads with ``{``."""
-    if payload[:1] == bytes((BINARY_MAGIC,)):
+    if payload[:1] == _BINARY_PREFIX:
         message = BINARY_CODEC.decode_payload(payload)
     else:
         message = JSON_CODEC.decode_payload(payload)

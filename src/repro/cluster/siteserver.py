@@ -30,10 +30,10 @@ import random
 import time
 
 from ..faults.policies import choose_victim, validate_policy
-from ..obs import distributed
+from ..obs import distributed, trace
 from ..obs.events import EventLog
 from ..obs.insight import ContentionTally
-from ..obs.metrics import REGISTRY
+from ..obs.metrics import REGISTRY, Counter, Histogram
 from ..sim.lockmanager import SiteLockManager
 from . import protocol
 from .netfaults import NetworkFaultAdapter
@@ -43,10 +43,11 @@ from .transport import Connection, Transport, TransportError
 GRANT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0)
 
 
-# Metrics are resolved by name at use time (a dict hit in the
-# registry), never cached in module globals: a cached handle would keep
-# mutating an orphaned object after ``REGISTRY.reset()`` and leak one
-# run's counts into the next.
+# Metrics are resolved by name, never cached at module scope: a cached
+# handle would keep mutating an orphaned object after
+# ``REGISTRY.reset()`` and leak one run's counts into the next.  A
+# server binds its own children on first use — it is built after its
+# run's reset and dies with the run.
 def _messages_counter():
     return REGISTRY.counter(
         "repro_cluster_messages_total",
@@ -154,6 +155,13 @@ class SiteServer:
         #: contention otherwise amplifies (every grant reprobes every
         #: waiter, and each hop re-broadcasts to every peer).
         self._probes_seen: set[tuple] = set()
+        #: Message kind -> this site's ``repro_cluster_messages_total``
+        #: child, and the grant histogram; bound on first use.  Metric
+        #: children only — a cache of bound methods here would tie the
+        #: server into a reference cycle and keep it alive until a full
+        #: collection.
+        self._message_counters: dict[str, Counter] = {}
+        self._grant_latency: Histogram | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -219,7 +227,12 @@ class SiteServer:
             return
         self.processed += 1
         kind = message.get("type", "?")
-        _messages_counter().labels(site=str(self.site), kind=kind).inc()
+        counter = self._message_counters.get(kind)
+        if counter is None:
+            counter = self._message_counters[kind] = _messages_counter().labels(
+                site=str(self.site), kind=kind
+            )
+        counter.inc()
         if self.event_log is not None and kind not in self.QUIET_KINDS:
             self.event_log.emit(
                 "msg",
@@ -236,28 +249,41 @@ class SiteServer:
                     protocol.reply(message["id"], "error", reason=f"unknown type {kind!r}"),
                 )
             return
-        queue_ns = distributed.server_queue_ns(message)
-        if queue_ns is not None:
-            distributed.WIRE.observe("server_queue", queue_ns, self.site)
-        context = distributed.extract(message)
-        with distributed.remote_span(f"site.{kind}", context) as span:
-            if span:
-                span.set(site=self.site)
-                if message.get("txn") is not None:
-                    span.set(txn=message["txn"])
-                if message.get("entity") is not None:
-                    span.set(entity=message["entity"])
-                if queue_ns is not None:
-                    span.set(server_queue_ns=queue_ns)
-                wire_ns = distributed.transport_ns(message)
-                if wire_ns is not None:
-                    span.set(transport_ns=wire_ns)
+        # A frame carrying neither a stamp nor a trace context has
+        # nothing to measure and no span to parent.
+        context = None
+        span = trace.NULL_SPAN
+        if "wire" in message or "trace" in message:
+            context, span = self._observe_frame(kind, message)
+        with span:
             previous_ctx = self._trace_ctx
             self._trace_ctx = context
             try:
                 await handler(connection, message)
             finally:
                 self._trace_ctx = previous_ctx
+
+    def _observe_frame(self, kind: str, message: dict):
+        """Record the server-queue stage of a stamped frame and build
+        the remote-parented ``site.<kind>`` span of a traced one;
+        returns the frame's trace context and the span to enter."""
+        queue_ns = distributed.server_queue_ns(message)
+        if queue_ns is not None:
+            distributed.WIRE.observe("server_queue", queue_ns, self.site)
+        context = distributed.extract(message)
+        span = distributed.remote_span(f"site.{kind}", context)
+        if span:
+            span.set(site=self.site)
+            if message.get("txn") is not None:
+                span.set(txn=message["txn"])
+            if message.get("entity") is not None:
+                span.set(entity=message["entity"])
+            if queue_ns is not None:
+                span.set(server_queue_ns=queue_ns)
+            wire_ns = distributed.transport_ns(message)
+            if wire_ns is not None:
+                span.set(transport_ns=wire_ns)
+        return context, span
 
     def _handler_for(self, kind: str):
         """The dispatch point: the coroutine method serving *kind*, or
@@ -719,8 +745,10 @@ class SiteServer:
         replication log, grant-delay faults.  ``"granted"`` when the
         caller should answer now, ``"deferred"`` when a grant-delay
         fault took the reply over."""
-        _grant_histogram().observe(float(latency))
-        if distributed.WIRE.active:
+        if self._grant_latency is None:
+            self._grant_latency = _grant_histogram()
+        self._grant_latency.observe(float(latency))
+        if distributed.WIRE.stamping:
             self._grant_wall.setdefault((txn, entity), time.time_ns())
         self._log_mutation("grant", txn=txn, entity=entity)
         if self.faults is not None and self.faults.grant_delayed(entity, self.site):

@@ -2,8 +2,8 @@
 
 Both transports move *encoded protocol frames* (:func:`repro.cluster.
 protocol.encode`), so the wire format is exercised even when no socket
-exists.  The memory transport pairs asyncio queues inside one event
-loop — message order is a pure function of task scheduling, which is
+exists.  The memory transport pairs single-consumer mailboxes inside one
+event loop — message order is a pure function of task scheduling, which is
 deterministic for a fixed workload and seed, so cluster tests and the
 benchmark's determinism check run on it.  The TCP transport is plain
 ``asyncio`` streams over localhost or a real network; ``port 0``
@@ -15,17 +15,22 @@ backoff and fault windows: memory ticks are bare event-loop yields
 (``asyncio.sleep(0)``), TCP ticks are milliseconds.  Nothing else in
 the deterministic path consults a wall clock.
 
-Both transports feed the process-global wire observer
-(:data:`repro.obs.distributed.WIRE`) while it is active: outbound
-frames are stamped (``wire.send_ns``) and counted, inbound frames
-complete the stamp and record the transport-stage latency.  With the
-observer inactive the hooks are one falsy check per frame.
+Both transports report to the process-global wire observer
+(:data:`repro.obs.distributed.WIRE`) while it is active — which, with
+the flight recorder on by default, is every run: each frame end is told
+to the observer's sinks (one ring append by default).  A frame is
+copied, stamped (``wire.send_ns``) and its encode timed only while the
+observer is *stamping*, i.e. while wire metrics or tracing will read
+the stamp; inbound frames that carry one get it completed and record
+the transport-stage latency.  Otherwise a frame costs its codec and one
+mailbox hop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 
 from ..errors import ReproError
 from ..obs import distributed
@@ -37,11 +42,16 @@ class TransportError(ReproError):
 
 
 def _encode_observed(message: dict, peer: int | None, codec: protocol.WireCodec) -> bytes:
-    """Encode one frame with *codec*, stamping and measuring it when
-    the wire observer is active."""
+    """Encode one frame with *codec* and tell the wire observer about
+    it; the frame is stamped and its encode timed only when something
+    reads the stamp."""
     wire = distributed.WIRE
     if not wire.active:
         return protocol.encode(message, codec)
+    if not wire.stamping:
+        frame = protocol.encode(message, codec)
+        wire.sent(message, len(frame), 0, peer)
+        return frame
     message = wire.stamp(message)
     before = time.perf_counter_ns()
     frame = protocol.encode(message, codec)
@@ -98,11 +108,48 @@ class Transport:
 # ----------------------------------------------------------------------
 # In-memory transport
 # ----------------------------------------------------------------------
+class _Mailbox:
+    """An unbounded FIFO of frames with exactly one consumer.
+
+    The delivery order the cluster fingerprints pin rests on exactly
+    this much event-loop behaviour: :meth:`put` never suspends, a put
+    onto an empty mailbox wakes the parked reader through one
+    ``call_soon`` hop (its future's done callback) and a further put
+    before it runs wakes nobody, and a reader cancelled while parked
+    un-parks itself.
+    """
+
+    __slots__ = ("_frames", "_reader")
+
+    def __init__(self) -> None:
+        self._frames: deque = deque()
+        self._reader: asyncio.Future | None = None
+
+    def put(self, frame) -> None:
+        self._frames.append(frame)
+        reader, self._reader = self._reader, None
+        if reader is not None and not reader.done():
+            reader.set_result(None)
+
+    async def get(self):
+        frames = self._frames
+        while not frames:
+            if self._reader is not None:
+                raise TransportError("a memory connection has one reader")
+            reader = self._reader = asyncio.get_running_loop().create_future()
+            try:
+                await reader
+            finally:
+                if self._reader is reader:
+                    self._reader = None
+        return frames.popleft()
+
+
 class _MemoryConnection(Connection):
     def __init__(
         self,
-        outbox: asyncio.Queue,
-        inbox: asyncio.Queue,
+        outbox: _Mailbox,
+        inbox: _Mailbox,
         peer: int | None = None,
     ) -> None:
         self._outbox = outbox
@@ -114,7 +161,7 @@ class _MemoryConnection(Connection):
     async def send(self, message: dict) -> None:
         if self._closed:
             raise TransportError("send on a closed memory connection")
-        await self._outbox.put(_encode_observed(message, self.peer, self.codec))
+        self._outbox.put(_encode_observed(message, self.peer, self.codec))
 
     async def recv(self) -> dict | None:
         frame = await self._inbox.get()
@@ -128,11 +175,11 @@ class _MemoryConnection(Connection):
     async def close(self) -> None:
         if not self._closed:
             self._closed = True
-            await self._outbox.put(None)
+            self._outbox.put(None)
 
 
 class MemoryTransport(Transport):
-    """Queue-paired connections inside one event loop (deterministic)."""
+    """Mailbox-paired connections inside one event loop (deterministic)."""
 
     deterministic = True
 
@@ -149,8 +196,7 @@ class MemoryTransport(Transport):
         handler = self._handlers.get(site)
         if handler is None:
             raise TransportError(f"no site {site} is listening")
-        to_server: asyncio.Queue = asyncio.Queue()
-        to_client: asyncio.Queue = asyncio.Queue()
+        to_server, to_client = _Mailbox(), _Mailbox()
         client = _MemoryConnection(to_server, to_client, peer=site)
         server = _MemoryConnection(to_client, to_server, peer=site)
         task = asyncio.ensure_future(handler(server))
@@ -162,6 +208,9 @@ class MemoryTransport(Transport):
             await asyncio.sleep(0)
 
     async def close(self) -> None:
+        # Stop listening first: a connection made while the tasks below
+        # are awaited would add a server task nobody cancels.
+        self._handlers.clear()
         for task in self._server_tasks:
             task.cancel()
         for task in self._server_tasks:
@@ -170,7 +219,6 @@ class MemoryTransport(Transport):
             except (asyncio.CancelledError, Exception):
                 pass
         self._server_tasks.clear()
-        self._handlers.clear()
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,19 @@ causal tree even when every hop ran in a different process.  Messages
 *without* the field decode and serve exactly as before — old and new
 nodes interoperate.
 
-**Wire-latency decomposition.**  While the :data:`WIRE` observer is
-active, every frame a transport sends is stamped (the ``wire`` field:
-wall-clock ``send_ns``; the receiver adds ``recv_ns``) and every
-endpoint feeds per-stage nanosecond histograms
+**Wire-latency decomposition.**  The :data:`WIRE` observer separates
+two questions.  *Who is told about a frame* — the flight recorder
+(on by default in every run), an event log, the metrics, the tracer:
+while any of them is attached the observer is :attr:`~WireObserver.
+active` and every endpoint reports its sends and receives.  *Who
+makes a frame carry a stamp* — only a reader of the stamp, i.e. the
+metrics or the tracer (:attr:`~WireObserver.stamping`): only then is
+the frame copied and stamped (the ``wire`` field: wall-clock
+``send_ns``; the receiver adds ``recv_ns``), the encode timed and a
+wall clock read per stage.  A default run therefore ships unstamped
+frames — the flight ring's ``bytes`` are the unstamped sizes — and
+pays one ring append per frame end; with metrics on, every endpoint
+feeds per-stage nanosecond histograms
 (``repro_cluster_latency_ns{stage=...,site=...}``) plus per-kind
 ``repro_cluster_messages_total`` / ``repro_cluster_bytes_total``
 counters.  The five stages:
@@ -46,9 +55,10 @@ trace-report FILE [FILE ...]`` renders the result: slowest-transaction
 trees, a per-stage percentile table (:func:`stage_rows`), and
 election/failover annotations from ``replica.*`` spans.
 
-Everything here is off by default: with the observer disabled and
-tracing off, the hooks cost one attribute load and a falsy branch per
-message.
+Stamps, stage metrics and spans are off by default; the flight
+recorder is not, so the default per-frame cost is what
+:meth:`WireObserver.sent` / :meth:`~WireObserver.received` do for a
+recorder alone — no copy, no clock, one tuple appended.
 """
 
 from __future__ import annotations
@@ -162,8 +172,10 @@ class WireObserver:
     * **tracing** — implicit: stamps are also added whenever the
       process tracer is on, so remote spans can carry stage attributes.
 
-    While nothing is attached, :attr:`active` is ``False`` and the
-    transports skip every hook after one falsy check.
+    :attr:`active` says some sink must be told about frames;
+    :attr:`stamping` says one of them reads the ``wire`` stamp, and
+    only then do the transports copy, stamp and time a frame.  While
+    nothing is attached the transports skip every hook.
     """
 
     def __init__(self) -> None:
@@ -171,20 +183,32 @@ class WireObserver:
         self.event_log = None
         self.clock = None
         self.recorder = None
+        #: Label values -> bound metric children.  The observer outlives
+        #: every run, so this is cleared by :meth:`enable_metrics` —
+        #: which each run calls right after resetting the registry.
+        self._children: dict[tuple, Any] = {}
 
     @property
     def active(self) -> bool:
-        """Must frames be stamped and measured at all?"""
+        """Must anyone be told about frames at all?"""
         return (
-            self.metrics_enabled
+            self.recorder is not None
             or self.event_log is not None
-            or self.recorder is not None
+            or self.metrics_enabled
             or trace.tracing_enabled()
         )
 
+    @property
+    def stamping(self) -> bool:
+        """Does anyone read the ``wire`` stamp?  Only the stage metrics
+        and remote spans do."""
+        return self.metrics_enabled or trace.tracing_enabled()
+
     def enable_metrics(self) -> None:
-        """Start feeding the stage histograms and byte counters."""
+        """Start feeding the stage histograms and byte counters (of
+        the registry as it is now: children bound earlier are dropped)."""
         self.metrics_enabled = True
+        self._children.clear()
 
     def disable_metrics(self) -> None:
         """Stop feeding the metrics registry."""
@@ -210,7 +234,7 @@ class WireObserver:
         """Stop feeding the flight recorder."""
         self.recorder = None
 
-    # -- metric handles (resolved by name so registry resets stick) ----
+    # -- metric families (resolved by name; children bound per run) ----
     def _latency(self):
         return REGISTRY.histogram(
             "repro_cluster_latency_ns",
@@ -240,14 +264,45 @@ class WireObserver:
         """Record one *stage* latency sample (no-op unless metrics are
         enabled)."""
         if self.metrics_enabled:
-            self._latency().labels(stage=stage, site=str(site)).observe(
-                float(max(0, ns))
+            key = ("stage", stage, site)
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = self._latency().labels(
+                    stage=stage, site=str(site)
+                )
+            child.observe(float(max(0, ns)))
+
+    def _count(self, direction: str, message: dict, nbytes: int, site) -> None:
+        """Feed the byte/message counters with one frame end."""
+        kind = message.get("type", "?")
+        key = ("frame", direction, kind, site)
+        children = self._children.get(key)
+        if children is None:
+            labels = {"site": str(site), "kind": kind, "direction": direction}
+            children = self._children[key] = (
+                self._bytes().labels(**labels),
+                self._messages().labels(**labels),
             )
+        children[0].inc(nbytes)
+        children[1].inc()
+        if kind == "batch":
+            # Attribute the frame to the steps it carries, so
+            # messages-per-step comparisons across batched and
+            # unbatched runs stay honest.
+            steps = message.get("steps")
+            if isinstance(steps, list) and steps:
+                key = ("steps", direction, site)
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = self._batched_steps().labels(
+                        site=str(site), direction=direction
+                    )
+                child.inc(len(steps))
 
     # -- transport hooks ----------------------------------------------
     def stamp(self, message: dict) -> dict:
         """A shallow copy of *message* carrying the sender's wire
-        stamp (call only while :attr:`active`)."""
+        stamp (call only while :attr:`stamping`)."""
         stamped = dict(message)
         stamped["wire"] = {"send_ns": time.time_ns()}
         return stamped
@@ -271,52 +326,26 @@ class WireObserver:
         byte counter and (when attached) a ``send`` event."""
         if self.metrics_enabled:
             self.observe("encode", encode_ns, site)
-            kind = message.get("type", "?")
-            self._bytes().labels(
-                site=str(site), kind=kind, direction="sent"
-            ).inc(nbytes)
-            self._messages().labels(
-                site=str(site), kind=kind, direction="sent"
-            ).inc()
-            if kind == "batch":
-                # Attribute the frame to the steps it carries, so
-                # messages-per-step comparisons across batched and
-                # unbatched runs stay honest.
-                steps = message.get("steps")
-                if isinstance(steps, list) and steps:
-                    self._batched_steps().labels(
-                        site=str(site), direction="sent"
-                    ).inc(len(steps))
+            self._count("sent", message, nbytes, site)
         if self.event_log is not None:
             self._event("send", message, nbytes, site)
         if self.recorder is not None:
             self.recorder.wire("send", message, nbytes, site)
 
     def received(self, message: dict, nbytes: int, site) -> None:
-        """One frame reached an endpoint: complete the wire stamp,
-        record the transport stage, the byte counter and (when
-        attached) a ``recv`` event."""
-        now = time.time_ns()
+        """One frame reached an endpoint: complete its wire stamp if it
+        carries one (the only case that reads a clock), record the
+        transport stage, the byte counter and (when attached) a
+        ``recv`` event."""
         wire = message.get("wire")
         if isinstance(wire, dict):
+            now = time.time_ns()
             send_ns = wire.get("send_ns")
             if isinstance(send_ns, int):
                 self.observe("transport", now - send_ns, site)
             wire["recv_ns"] = now
         if self.metrics_enabled:
-            kind = message.get("type", "?")
-            self._bytes().labels(
-                site=str(site), kind=kind, direction="received"
-            ).inc(nbytes)
-            self._messages().labels(
-                site=str(site), kind=kind, direction="received"
-            ).inc()
-            if kind == "batch":
-                steps = message.get("steps")
-                if isinstance(steps, list) and steps:
-                    self._batched_steps().labels(
-                        site=str(site), direction="received"
-                    ).inc(len(steps))
+            self._count("received", message, nbytes, site)
         if self.event_log is not None:
             self._event("recv", message, nbytes, site)
         if self.recorder is not None:

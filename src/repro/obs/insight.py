@@ -8,14 +8,16 @@ PR 7).  Three instruments, all designed to be *on in production*:
 most recent observability happenings in one process — wire sends and
 receives (fed by :data:`repro.obs.distributed.WIRE`) plus simulator
 events (mirrored by :class:`repro.obs.events.EventLog` when its
-``ring`` tap is set).  Recording is two dict writes per entry and the
+``ring`` tap is set).  Recording a frame is one tuple appended and the
 ring never grows, so it stays near-free while the cluster is healthy;
 when a run ends non-serializable, partial-commit or audit-incomplete,
 the runtime dumps the ring — with the report and any trace files —
 into a post-mortem bundle (:func:`dump_postmortem`) that ``repro
 postmortem DIR`` renders (:func:`render_postmortem`).  Ring entries
 carry no wall-clock fields, so a memory-transport run records a
-bit-deterministic ring.
+bit-deterministic ring.  A frame's ``bytes`` is its size as shipped:
+the unstamped size, unless wire metrics or tracing made the frame carry
+a ``wire`` stamp.
 
 **Status plane.**  Site servers answer ``status`` / ``inspect``
 protocol requests with their live lock table (holders, FIFO wait
@@ -61,6 +63,10 @@ CONVOY_DEPTH = 3
 #: A wait this many times the entity's median wait flags starvation.
 STARVATION_RATIO = 8.0
 
+#: Keys of a wire entry, in the order :meth:`FlightRecorder.wire` packs
+#: their values.
+_WIRE_FIELDS = ("seq", "kind", "type", "id", "txn", "bytes", "site")
+
 
 # ----------------------------------------------------------------------
 # Flight recorder
@@ -68,7 +74,7 @@ STARVATION_RATIO = 8.0
 class FlightRecorder:
     """A bounded ring buffer of recent observability records.
 
-    Entries are plain dicts — ``{"seq": n, "kind": ...}`` plus
+    Entries read back as plain dicts — ``{"seq": n, "kind": ...}`` plus
     kind-specific fields — appended via :meth:`record` or the
     :meth:`wire` / :meth:`event` adapters.  Once ``capacity`` entries
     exist, the oldest is overwritten (``dropped`` counts the losses).
@@ -81,7 +87,9 @@ class FlightRecorder:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ring: list[dict[str, Any]] = []
+        #: Dicts from :meth:`record`, ``_WIRE_FIELDS`` tuples from
+        #: :meth:`wire` (made dicts by :meth:`snapshot`).
+        self._ring: list[dict[str, Any] | tuple] = []
         self._next = 0
         #: Total records ever offered (monotone, survives wraparound).
         self.seq = 0
@@ -108,20 +116,21 @@ class FlightRecorder:
     def wire(self, direction: str, message: dict, nbytes: int, site) -> None:
         """One frame moved (``direction`` is ``send`` or ``recv``).
 
-        This runs once per wire frame — the recorder's entire cost in a
-        run is ~this method, so it builds one dict literal and inlines
-        the ring bookkeeping rather than going through :meth:`record`.
+        This runs once per frame end in every run — it is the default
+        per-frame observability cost — so it packs one tuple (most
+        entries are overwritten unread; :meth:`snapshot` builds the
+        dicts) and inlines the ring bookkeeping.
         """
         get = message.get
-        entry = {
-            "seq": self.seq,
-            "kind": direction,
-            "type": get("type"),
-            "id": get("id"),
-            "txn": get("txn"),
-            "bytes": nbytes,
-            "site": site if isinstance(site, int) else None,
-        }
+        entry = (
+            self.seq,
+            direction,
+            get("type"),
+            get("id"),
+            get("txn"),
+            nbytes,
+            site if isinstance(site, int) else None,
+        )
         self.seq += 1
         ring = self._ring
         if len(ring) < self.capacity:
@@ -144,7 +153,10 @@ class FlightRecorder:
     # -- inspection ----------------------------------------------------
     def snapshot(self) -> list[dict[str, Any]]:
         """The retained entries, oldest first."""
-        return self._ring[self._next :] + self._ring[: self._next]
+        return [
+            dict(zip(_WIRE_FIELDS, entry)) if type(entry) is tuple else entry
+            for entry in self._ring[self._next :] + self._ring[: self._next]
+        ]
 
     def clear(self) -> None:
         self._ring = []

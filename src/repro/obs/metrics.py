@@ -1,9 +1,11 @@
 """A process-wide registry of counters, gauges and histograms.
 
-Instrumented code resolves a metric by name at use time (a dict lookup;
-creation is lazy, so :meth:`MetricsRegistry.reset` in tests never
-orphans a cached object) and mutates it with plain attribute
-arithmetic — no locks.  The registry renders two ways:
+Instrumented code resolves a metric by name (a dict lookup; creation is
+lazy) and mutates it with plain attribute arithmetic — no locks.  A
+handle is never kept at module scope, where :meth:`MetricsRegistry.
+reset` would orphan it; an object that is built after the reset and
+dies with its run (a site server) may bind its children once.  The
+registry renders two ways:
 
 * :meth:`MetricsRegistry.to_prometheus` — the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` headers, one sample per
@@ -62,21 +64,35 @@ class _Metric:
         self.name = name
         self.help = help
         self._children: dict[tuple[tuple[str, str], ...], _Metric] = {}
+        #: ``labels()`` call items, as given -> the child they name.
+        self._shortcuts: dict[tuple, _Metric] = {}
         self._labels: tuple[tuple[str, str], ...] = ()
 
     def labels(self, **labels: str):
         """The child of this metric carrying *labels* (created on first
-        use); children share the parent's exposition block."""
-        for key in labels:
-            if not _LABEL_RE.match(key):
-                raise ValueError(f"invalid label name {key!r}")
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        child = self._children.get(key)
+        use); children share the parent's exposition block.
+
+        A series is identified by its sorted ``(name, str(value))``
+        pairs.  The call's own items are only a shortcut to it, so a
+        repeated call costs one dict hit and the label names are
+        validated when a shortcut is first taken, not on every call."""
+        shortcut = tuple(labels.items())
+        child = self._shortcuts.get(shortcut)
         if child is None:
-            child = type(self)(self.name, self.help)
-            child._labels = key
-            self._children[key] = child
+            for key in labels:
+                if not _LABEL_RE.match(key):
+                    raise ValueError(f"invalid label name {key!r}")
+            key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+            child = self._children.get(key)
+            if child is None:
+                child = self._new_child()
+                child._labels = key
+                self._children[key] = child
+            self._shortcuts[shortcut] = child
         return child
+
+    def _new_child(self) -> "_Metric":
+        return type(self)(self.name, self.help)
 
     def _series(self) -> Iterable["_Metric"]:
         if not self._children:
@@ -185,15 +201,8 @@ class Histogram(_Metric):
         self.count = 0
         self.sum = 0.0
 
-    def labels(self, **labels: str):
-        child = super().labels(**labels)
-        child.buckets = self.buckets
-        child.counts = getattr(
-            child, "counts", [0] * len(self.buckets)
-        )
-        if len(child.counts) != len(self.buckets):
-            child.counts = [0] * len(self.buckets)
-        return child
+    def _new_child(self) -> "Histogram":
+        return type(self)(self.name, self.help, buckets=self.buckets)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -301,9 +310,9 @@ class MetricsRegistry:
         whose name starts with it (``reset(prefix="repro_cluster_")``
         is how :func:`repro.cluster.runtime.run_cluster` keeps
         back-to-back runs in one process from accumulating each
-        other's counters).  Instrumented code re-resolves its metrics
-        by name at use time, so nothing keeps mutating an orphaned
-        object."""
+        other's counters).  No handle is held at module scope, and the
+        per-run objects that bind their children are built after this
+        call, so nothing keeps mutating an orphaned object."""
         if prefix is None:
             self._metrics.clear()
             return

@@ -21,6 +21,19 @@ def chain_tx(name, database, entities):
     return Transaction(name, database, steps, order)
 
 
+def deadlock_prone_pair(database=None):
+    """Two 2PL transactions locking x and y in opposite orders — safe
+    (both two-phase) but guaranteed deadlock-capable."""
+    if database is None:
+        database = DistributedDatabase({"x": 1, "y": 2})
+    return TransactionSystem(
+        [
+            chain_tx("T1", database, ["x", "y"]),
+            chain_tx("T2", database, ["y", "x"]),
+        ]
+    )
+
+
 @pytest.fixture
 def two_site_db():
     return DistributedDatabase({"x": 1, "y": 2})
@@ -28,11 +41,4 @@ def two_site_db():
 
 @pytest.fixture
 def deadlock_prone_system(two_site_db):
-    """Two 2PL transactions locking x and y in opposite orders — safe
-    (both two-phase) but guaranteed deadlock-capable."""
-    return TransactionSystem(
-        [
-            chain_tx("T1", two_site_db, ["x", "y"]),
-            chain_tx("T2", two_site_db, ["y", "x"]),
-        ]
-    )
+    return deadlock_prone_pair(two_site_db)

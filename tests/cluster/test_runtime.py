@@ -1,17 +1,29 @@
 """End-to-end cluster runs: vetting, faults, serializability audit."""
 
 import asyncio
+import gc
+import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.cluster import ClusterError, run_cluster_sync
 from repro.cluster.runtime import run_cluster
+from repro.cluster.siteserver import SiteServer
 from repro.errors import ReproError
 from repro.faults import FaultPlan, GrantDelay, MessageDrop, SiteCrash
 from repro.obs.distributed import WIRE
 from repro.obs.events import EventLog
+from repro.obs.metrics import REGISTRY
+from repro.replica import run_replicated_sync
 from repro.sim.analysis import serializable_from_site_orders
 from repro.workloads import figure_1
+
+from .conftest import deadlock_prone_pair
 
 
 class TestSafeWorkloads:
@@ -342,3 +354,83 @@ class TestArrivalsAndLatency:
         assert matrix.delay("us", "us") == 0
         assert matrix.region_of_site(1) == "us"
         assert matrix.region_of_site(9) == "us"
+
+
+_SERIES_SCRIPT = """
+import json, sys
+from repro.cluster import run_cluster_sync
+from repro.obs.metrics import REGISTRY
+from repro.replica import run_replicated_sync
+from tests.cluster.conftest import deadlock_prone_pair
+runner, wire_metrics = sys.argv[1:]
+run = run_replicated_sync if runner == "replicated" else run_cluster_sync
+run(deadlock_prone_pair(), **json.loads(wire_metrics))
+print(json.dumps(REGISTRY.get("repro_cluster_messages_total").to_dict()["series"]))
+"""
+
+
+_RUNNERS = {
+    "plain": (run_cluster_sync, {"rounds": 2, "seed": 3, "max_retries": 16}),
+    "replicated": (
+        run_replicated_sync,
+        {"replicas": 3, "rounds": 2, "seed": 3, "max_retries": 16},
+    ),
+}
+
+
+class TestRunLeavesNothingBehind:
+    """Servers bind metric children for their run's lifetime: the run
+    must take them with it, and the next run must start from none."""
+
+    @pytest.mark.parametrize("runner", sorted(_RUNNERS))
+    def test_servers_die_with_the_run_without_a_collection(self, runner, monkeypatch):
+        # The tier-1 stand-in for the benchmark's peak-RSS bound: a
+        # server caught in a reference cycle (say, a cache of its own
+        # bound methods) survives until a full collection, and a process
+        # running back-to-back units then holds every run's lock tables.
+        run, knobs = _RUNNERS[runner]
+        servers = []
+        init = SiteServer.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            servers.append(weakref.ref(self))
+
+        monkeypatch.setattr(SiteServer, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        try:
+            report = run(deadlock_prone_pair(), **knobs)
+            alive = [ref() for ref in servers if ref() is not None]
+        finally:
+            gc.enable()
+        assert report.committed == report.transactions
+        assert len(servers) == (6 if runner == "replicated" else 2)
+        assert not alive
+
+    @pytest.mark.parametrize("wire_metrics", [False, True], ids=["plain", "wired"])
+    @pytest.mark.parametrize("runner", sorted(_RUNNERS))
+    def test_back_to_back_runs_count_like_fresh_processes(self, runner, wire_metrics):
+        # A handle bound in one run and mutated in the next would leave
+        # the second run's series short (the registry was reset between
+        # them) — so each in-process run must report what a process
+        # that ran nothing else reports.
+        run, knobs = _RUNNERS[runner]
+        knobs = {**knobs, "wire_metrics": wire_metrics}
+        root = Path(__file__).resolve().parents[2]
+        fresh = subprocess.run(
+            [sys.executable, "-c", _SERIES_SCRIPT, runner, json.dumps(knobs)],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        expected = json.loads(fresh.stdout)
+        assert expected
+        for _ in range(2):
+            report = run(deadlock_prone_pair(), **knobs)
+            series = REGISTRY.get("repro_cluster_messages_total").to_dict()["series"]
+            assert series == expected
+            processed = sum(n for key, n in series.items() if "direction=" not in key)
+            assert processed == report.messages

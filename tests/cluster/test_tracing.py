@@ -1,12 +1,16 @@
 """Distributed tracing and wire metrics through the cluster runtime."""
 
+import asyncio
+
 import pytest
 
-from repro.cluster import run_cluster_sync
+from repro.cluster import protocol, run_cluster, run_cluster_sync
+from repro.cluster.transport import MemoryTransport, TcpTransport, Transport
 from repro.faults import FaultPlan, MessageDrop
 from repro.obs import trace
 from repro.obs.distributed import WIRE, merge_traces, trace_trees
 from repro.obs.events import EventLog
+from repro.obs.insight import FlightRecorder
 from repro.obs.metrics import REGISTRY
 from repro.obs.report import summarize_files
 
@@ -19,6 +23,60 @@ def clean_wire_globals():
     WIRE.disable_metrics()
     WIRE.detach()
     REGISTRY.reset(prefix="repro_cluster_")
+
+
+class _CapturingTransport(Transport):
+    """Any transport, keeping every message either end receives — the
+    frame as it crossed the wire, ``wire`` stamp included."""
+
+    def __init__(self, inner: Transport) -> None:
+        self._inner = inner
+        self.deterministic = inner.deterministic
+        self.received: list[dict] = []
+
+    def _tap(self, connection):
+        recv = connection.recv
+
+        async def tapped():
+            message = await recv()
+            if message is not None:
+                self.received.append(message)
+            return message
+
+        connection.recv = tapped
+        return connection
+
+    async def listen(self, site, handler):
+        async def tapped_handler(connection):
+            await handler(self._tap(connection))
+
+        await self._inner.listen(site, tapped_handler)
+
+    async def connect(self, site):
+        return self._tap(await self._inner.connect(site))
+
+    async def sleep(self, ticks):
+        await self._inner.sleep(ticks)
+
+    async def close(self):
+        await self._inner.close()
+
+
+def _captured_run(system, transport="memory", **kwargs):
+    """Run on a capturing *transport*; returns (report, frames)."""
+
+    async def scenario():
+        inner = MemoryTransport() if transport == "memory" else TcpTransport()
+        capture = _CapturingTransport(inner)
+        try:
+            report = await run_cluster(
+                system, transport=capture, rounds=1, seed=3, max_retries=16, **kwargs
+            )
+        finally:
+            await capture.close()
+        return report, capture.received
+
+    return asyncio.run(scenario())
 
 
 def _traced_run(system, path, **kwargs):
@@ -74,17 +132,17 @@ class TestWireMetrics:
     def test_all_stages_recorded(
         self, deadlock_prone_system, transport, codec, batch
     ):
-        report = run_cluster_sync(
+        report, frames = _captured_run(
             deadlock_prone_system,
-            transport=transport,
-            rounds=1,
-            seed=3,
-            max_retries=16,
+            transport,
             request_timeout=30.0 if transport == "tcp" else None,
             wire_metrics=True,
             codec=codec,
             batch=batch,
         )
+        # Something reads the stamp, so every frame carries one.
+        assert frames
+        assert all(isinstance(f["wire"]["send_ns"], int) for f in frames)
         series = REGISTRY.get("repro_cluster_latency_ns").to_dict()["series"]
         stages = {
             stage
@@ -100,6 +158,27 @@ class TestWireMetrics:
         assert report.committed == report.transactions
         assert REGISTRY.get("repro_cluster_messages_total") is not None
         assert REGISTRY.get("repro_cluster_bytes_total") is not None
+
+    def test_default_run_ships_unstamped_frames(self, deadlock_prone_system):
+        # Recorder on (the default), no metrics, no tracer: frames are
+        # told to the ring but nothing reads a stamp, so none is added
+        # and the ring's sizes are those of the frames as built.
+        ring = FlightRecorder(capacity=100_000)
+        report, frames = _captured_run(deadlock_prone_system, recorder=ring)
+        assert report.committed == report.transactions
+        assert frames
+        assert not any("wire" in frame for frame in frames)
+        entries = ring.snapshot()
+        assert ring.dropped == 0
+        received = [entry for entry in entries if entry["kind"] == "recv"]
+        assert [entry["bytes"] for entry in received] == [
+            len(protocol.encode(frame)) for frame in frames
+        ]
+        assert [(e["type"], e["id"]) for e in received] == [
+            (frame["type"], frame.get("id")) for frame in frames
+        ]
+        sent = sorted(e["bytes"] for e in entries if e["kind"] == "send")
+        assert sent == sorted(entry["bytes"] for entry in received)
 
     def test_back_to_back_runs_do_not_accumulate(self, deadlock_prone_system):
         def total_messages():

@@ -1,4 +1,14 @@
-"""Memory and TCP transports carry identical frames."""
+"""Memory and TCP transports carry identical frames.
+
+The mailbox cases below check what a memory connection promises its two
+ends (FIFO, no lost wake-up, cancellation, close).  They do not prove
+that the mailbox schedules like the queue it stands in for: that oracle
+is the pinned history/outcome fingerprints and message counts of
+``tests/cluster/test_runtime.py`` and ``tests/replica/test_runtime.py``,
+the reply transcript of ``tests/cluster/test_transcript.py`` and
+``benchmarks/suite/expected.json`` — one task step more or less per
+frame moves every one of them.
+"""
 
 import asyncio
 
@@ -68,9 +78,145 @@ class TestMemoryTransport:
 
         assert asyncio.run(scenario()) == [None]
 
+    def test_close_refuses_connections_made_while_it_waits(self):
+        # A server task that dials out while it is being torn down must
+        # be refused: the connection would start a server task that
+        # close() already is past cancelling, and close() would wait for
+        # it forever.
+        async def scenario():
+            transport = MemoryTransport()
+            refused = []
+
+            async def handler(connection):
+                try:
+                    await connection.recv()
+                finally:
+                    try:
+                        await transport.connect(1)
+                    except TransportError:
+                        refused.append(True)
+
+            await transport.listen(1, handler)
+            await transport.connect(1)
+            await transport.sleep(1)
+            await asyncio.wait_for(transport.close(), 1)
+            return refused
+
+        assert asyncio.run(scenario()) == [True]
+
+    def test_send_on_a_closed_connection_fails(self):
+        async def scenario():
+            transport = MemoryTransport()
+            await transport.listen(1, _echo_handler)
+            connection = await transport.connect(1)
+            await connection.close()
+            with pytest.raises(TransportError):
+                await connection.send({"type": "ping", "id": 1})
+            await transport.close()
+
+        asyncio.run(scenario())
+
     def test_is_deterministic_flagged(self):
         assert MemoryTransport.deterministic is True
         assert TcpTransport.deterministic is False
+
+
+async def _connected_pair(transport):
+    """Both ends of one memory connection (client, server)."""
+    ends = asyncio.get_running_loop().create_future()
+
+    async def handler(connection):
+        ends.set_result(connection)
+        await asyncio.Event().wait()  # keep the server task parked
+
+    await transport.listen(1, handler)
+    client = await transport.connect(1)
+    return client, await ends
+
+
+def _mailbox_scenario(body):
+    async def scenario():
+        transport = MemoryTransport()
+        client, server = await _connected_pair(transport)
+        try:
+            return await body(client, server)
+        finally:
+            await transport.close()
+
+    return asyncio.run(scenario())
+
+
+class TestMemoryMailbox:
+    def test_fifo_over_interleaved_put_and_get(self):
+        async def body(client, server):
+            seen = []
+            for first in range(0, 9, 3):
+                for offset in range(3):
+                    await client.send({"type": "ping", "id": first + offset})
+                seen.append((await server.recv())["id"])
+                seen.append((await server.recv())["id"])
+            while len(seen) < 9:
+                seen.append((await server.recv())["id"])
+            return seen
+
+        assert _mailbox_scenario(body) == list(range(9))
+
+    def test_send_never_suspends(self):
+        async def body(client, server):
+            order = []
+
+            async def bystander():
+                order.append("bystander")
+
+            task = asyncio.ensure_future(bystander())
+            await client.send({"type": "ping", "id": 1})
+            order.append("sent")
+            await task
+            return order
+
+        assert _mailbox_scenario(body) == ["sent", "bystander"]
+
+    def test_put_wakes_the_parked_reader_and_a_second_put_is_kept(self):
+        async def body(client, server):
+            reader = asyncio.ensure_future(server.recv())
+            await asyncio.sleep(0)  # the reader parks on the empty mailbox
+            assert not reader.done()
+            await client.send({"type": "ping", "id": 1})
+            await client.send({"type": "ping", "id": 2})  # before the reader runs
+            assert not reader.done()
+            first = await reader
+            second = await asyncio.wait_for(server.recv(), 1)
+            return first["id"], second["id"]
+
+        assert _mailbox_scenario(body) == (1, 2)
+
+    def test_cancelled_reader_leaves_the_mailbox_usable(self):
+        async def body(client, server):
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(server.recv(), 0.01)
+            await client.send({"type": "ping", "id": 7})
+            return (await asyncio.wait_for(server.recv(), 1))["id"]
+
+        assert _mailbox_scenario(body) == 7
+
+    def test_a_second_concurrent_reader_is_refused(self):
+        async def body(client, server):
+            reader = asyncio.ensure_future(server.recv())
+            await asyncio.sleep(0)
+            with pytest.raises(TransportError):
+                await server.recv()
+            await client.send({"type": "ping", "id": 1})
+            return (await reader)["id"]
+
+        assert _mailbox_scenario(body) == 1
+
+    def test_close_reaches_the_peer_after_the_frames_before_it(self):
+        async def body(client, server):
+            await client.send({"type": "ping", "id": 1})
+            await client.close()
+            return (await server.recv())["id"], await server.recv()
+
+        assert _mailbox_scenario(body) == (1, None)
 
 
 class TestTcpTransport:

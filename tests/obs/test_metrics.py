@@ -105,6 +105,22 @@ class TestExposition:
         with pytest.raises(ValueError):
             registry.counter("ok").labels(**{"bad-label": "x"})
 
+    def test_same_labels_reach_the_same_child(self):
+        counter = MetricsRegistry().counter("frames_total")
+        child = counter.labels(site="1", kind="lock")
+        assert counter.labels(site="1", kind="lock") is child
+
+    def test_label_order_and_value_type_do_not_split_a_series(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("frames_total")
+        child = counter.labels(site="1", kind="lock")
+        assert counter.labels(kind="lock", site="1") is child
+        assert counter.labels(kind="lock", site=1) is child
+        child.inc()
+        assert registry.to_dict()["frames_total"]["series"] == {
+            '{kind="lock",site="1"}': 1
+        }
+
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
         assert MetricsRegistry().to_dict() == {}

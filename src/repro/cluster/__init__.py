@@ -10,14 +10,15 @@ wire protocol, edge-chasing deadlock probes with the
 runs the :mod:`repro.service` static safety vetting before anything
 touches the wire.
 
-Two transports share the protocol: :class:`MemoryTransport` (asyncio
-queues, deterministic, what the tests and the benchmark's
-reproducibility check use) and :class:`TcpTransport` (real sockets,
-what ``repro cluster serve`` deploys).  :func:`run_cluster` boots a
-cluster, drives a workload through it and audits every committed
-history for conflict-serializability via :mod:`repro.sim.analysis` —
-the experiment that shows the paper's *safety* guarantee surviving
-contact with a network, and its absence showing up as real anomalies.
+Two transports share the protocol and one :class:`Connection` class:
+:class:`MemoryTransport` (in-loop mailboxes, deterministic, what the
+tests and the benchmark's reproducibility check use) and
+:class:`TcpTransport` (real sockets, what ``repro cluster serve``
+deploys).  :func:`run_cluster` boots a cluster, drives a workload
+through it and audits every committed history for
+conflict-serializability via :mod:`repro.sim.analysis` — the
+experiment that shows the paper's *safety* guarantee surviving contact
+with a network, and its absence showing up as real anomalies.
 """
 
 from .coordinator import Coordinator, TxnOutcome

@@ -144,6 +144,8 @@ class _SiteClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters[request_id] = future
         await self.connection.send(protocol.request(kind, request_id, **fields))
+        if timeout is None:
+            return await future
         return await self.routed_reply(request_id, future, timeout)
 
     async def negotiate(self, codec: protocol.WireCodec, *, timeout: int | None = None) -> None:
@@ -460,7 +462,11 @@ class Coordinator:
         if self.pool is not None:
             return await self.pool.client(site)
         # Without a resolver a site is its own address, dialled once.
-        address = site if self.resolver is None else await self.resolver.resolve(site)
+        address = site
+        if self.resolver is not None:
+            address = self.resolver.cached(site)
+            if address is None:
+                address = await self.resolver.resolve(site)
         client = self._clients.get(site)
         if client is not None and client.address == address:
             return client

@@ -30,14 +30,14 @@ import random
 import time
 
 from ..faults.policies import choose_victim, validate_policy
-from ..obs import distributed, trace
+from ..obs import distributed
 from ..obs.events import EventLog
 from ..obs.insight import ContentionTally
 from ..obs.metrics import REGISTRY, Counter, Histogram
 from ..sim.lockmanager import SiteLockManager
 from . import protocol
 from .netfaults import NetworkFaultAdapter
-from .transport import Connection, Transport, TransportError
+from .transport import Connection, Transport, TransportError, encode_frame
 
 #: Buckets for grant latency measured in site-local processed messages.
 GRANT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0)
@@ -185,11 +185,16 @@ class SiteServer:
     # Connection loop
     # ------------------------------------------------------------------
     async def _serve_connection(self, connection: Connection) -> None:
-        while True:
-            message = await connection.recv()
-            if message is None:
-                break
-            await self._process(connection, message)
+        """Serve one inbound connection until the peer hangs up or
+        sends a frame that does not decode; either way this end closes
+        too, so the peer reads the end of the stream."""
+        try:
+            while (message := await connection.recv()) is not None:
+                await self._process(connection, message)
+        except protocol.ProtocolError:
+            pass
+        finally:
+            await connection.close()
 
     async def _fault_gate(self, message: dict) -> bool:
         """Apply the injected-fault schedule to one inbound message;
@@ -220,7 +225,13 @@ class SiteServer:
         "inspect",
     )
 
+    def _tick(self) -> None:
+        """Called once per inbound frame, before the fault gate.  A
+        plain site keeps no clock; :class:`repro.replica.server.
+        ReplicaServer` ticks its group's logical clock here."""
+
     async def _process(self, connection: Connection, message: dict) -> None:
+        self._tick()
         if self.faults is not None and not await self._fault_gate(message):
             return
         if not self.running:
@@ -249,14 +260,17 @@ class SiteServer:
                     protocol.reply(message["id"], "error", reason=f"unknown type {kind!r}"),
                 )
             return
-        # A frame carrying neither a stamp nor a trace context has
-        # nothing to measure and no span to parent.
-        context = None
-        span = trace.NULL_SPAN
-        if "wire" in message or "trace" in message:
-            context, span = self._observe_frame(kind, message)
+        previous_ctx = self._trace_ctx
+        if "wire" not in message and "trace" not in message:
+            # Nothing to measure and no span to parent.
+            self._trace_ctx = None
+            try:
+                await handler(connection, message)
+            finally:
+                self._trace_ctx = previous_ctx
+            return
+        context, span = self._observe_frame(kind, message)
         with span:
-            previous_ctx = self._trace_ctx
             self._trace_ctx = context
             try:
                 await handler(connection, message)
@@ -286,9 +300,11 @@ class SiteServer:
         return context, span
 
     def _handler_for(self, kind: str):
-        """The dispatch point: the coroutine method serving *kind*, or
-        ``None`` for an unknown kind.  :class:`repro.replica.server.
-        ReplicaServer` guards leader-only kinds here."""
+        """The dispatch point: the method serving *kind* — called with
+        the connection and the message, it returns the awaitable that
+        serves them — or ``None`` for an unknown kind.
+        :class:`repro.replica.server.ReplicaServer` guards leader-only
+        kinds here."""
         return getattr(self, f"_on_{kind}", None)
 
     async def _safe_send(self, connection: Connection, message: dict) -> None:
@@ -903,13 +919,28 @@ class SiteServer:
         if self._trace_ctx is not None:
             message["trace"] = self._trace_ctx
         await self._handle_probe(message)
+        # One encoding per codec, made at the first peer that uses it;
+        # each peer is still dialled before its send, in peer order.
+        frames: dict = {}
         for peer in self.peers:
-            connection = await self._peer_connection(peer)
-            if connection is not None:
-                await self._safe_send(connection, message)
+            connection = self._peer_connections.get(peer)
+            if connection is None:
+                connection = await self._peer_connection(peer)
+                if connection is None:
+                    continue
+            encoded = frames.get(connection.codec)
+            if encoded is None:
+                frame, sent, encode_ns = encode_frame(message, connection.codec)
+                frames[connection.codec] = frame, sent
+            else:
+                (frame, sent), encode_ns = encoded, 0
+            try:
+                await connection.send_frame(frame, sent, encode_ns)
+            except TransportError:
+                pass
 
-    async def _on_probe(self, connection: Connection, message: dict) -> None:
-        await self._handle_probe(message)
+    def _on_probe(self, connection: Connection, message: dict):
+        return self._handle_probe(message)
 
     async def _handle_probe(self, message: dict) -> None:
         if self.deadlock_policy is None:
@@ -952,13 +983,19 @@ class SiteServer:
             message["trace"] = self._trace_ctx
         if victim_site == self.site:
             await self._handle_resolve(message)
-        else:
+            return
+        connection = self._peer_connections.get(victim_site)
+        if connection is None:
             connection = await self._peer_connection(victim_site)
-            if connection is not None:
-                await self._safe_send(connection, message)
+            if connection is None:
+                return
+        try:
+            await connection.send(message)
+        except TransportError:
+            pass
 
-    async def _on_resolve(self, connection: Connection, message: dict) -> None:
-        await self._handle_resolve(message)
+    def _on_resolve(self, connection: Connection, message: dict):
+        return self._handle_resolve(message)
 
     async def _handle_resolve(self, message: dict) -> None:
         """Answer the victim's pending lock request with ``deadlock``."""

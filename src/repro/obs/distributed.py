@@ -38,9 +38,11 @@ counters.  The five stages:
 ========      ==========================================================
 stage         measured as
 ========      ==========================================================
-encode        sender-side: nanoseconds spent JSON-encoding one frame
+encode        sender-side: nanoseconds spent encoding one frame (0 for
+              the further sends of a probe encoded once for all peers)
 transport     ``recv_ns - send_ns`` (wall clock; includes the sender's
-              encode and queue/socket dwell)
+              encode, injected cross-region delay and queue/socket
+              dwell)
 server_queue  handler start minus ``recv_ns`` at the serving site
 lock_wait     lock-request queue time, block to grant (0 when granted
               immediately)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import deque
 from typing import Any, Iterable
 
 from .. import stats
@@ -88,57 +89,45 @@ class FlightRecorder:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
         #: Dicts from :meth:`record`, ``_WIRE_FIELDS`` tuples from
-        #: :meth:`wire` (made dicts by :meth:`snapshot`).
-        self._ring: list[dict[str, Any] | tuple] = []
-        self._next = 0
+        #: :meth:`wire` (made dicts by :meth:`snapshot`), oldest first.
+        self._ring: deque[dict[str, Any] | tuple] = deque(maxlen=capacity)
         #: Total records ever offered (monotone, survives wraparound).
         self.seq = 0
-        #: Records overwritten by wraparound.
-        self.dropped = 0
+
+    @property
+    def dropped(self) -> int:
+        """Records overwritten by wraparound."""
+        return self.seq - len(self._ring)
 
     def record(self, kind: str, **fields: Any) -> None:
         """Append one entry (overwriting the oldest at capacity)."""
         entry: dict[str, Any] = {"seq": self.seq, "kind": kind}
         entry.update(fields)
-        self._append(entry)
-
-    def _append(self, entry: dict[str, Any]) -> None:
+        self._ring.append(entry)
         self.seq += 1
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(entry)
-        else:
-            ring[self._next] = entry
-            self._next = (self._next + 1) % self.capacity
-            self.dropped += 1
 
     # -- adapters ------------------------------------------------------
     def wire(self, direction: str, message: dict, nbytes: int, site) -> None:
         """One frame moved (``direction`` is ``send`` or ``recv``).
 
         This runs once per frame end in every run — it is the default
-        per-frame observability cost — so it packs one tuple (most
+        per-frame observability cost — so it appends one tuple (most
         entries are overwritten unread; :meth:`snapshot` builds the
-        dicts) and inlines the ring bookkeeping.
+        dicts).
         """
         get = message.get
-        entry = (
-            self.seq,
-            direction,
-            get("type"),
-            get("id"),
-            get("txn"),
-            nbytes,
-            site if isinstance(site, int) else None,
+        self._ring.append(
+            (
+                self.seq,
+                direction,
+                get("type"),
+                get("id"),
+                get("txn"),
+                nbytes,
+                site if isinstance(site, int) else None,
+            )
         )
         self.seq += 1
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(entry)
-        else:
-            ring[self._next] = entry
-            self._next = (self._next + 1) % self.capacity
-            self.dropped += 1
 
     def event(self, event) -> None:
         """Mirror one :class:`~repro.obs.events.SimEvent`."""
@@ -155,14 +144,12 @@ class FlightRecorder:
         """The retained entries, oldest first."""
         return [
             dict(zip(_WIRE_FIELDS, entry)) if type(entry) is tuple else entry
-            for entry in self._ring[self._next :] + self._ring[: self._next]
+            for entry in self._ring
         ]
 
     def clear(self) -> None:
-        self._ring = []
-        self._next = 0
+        self._ring.clear()
         self.seq = 0
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._ring)

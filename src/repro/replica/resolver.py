@@ -56,6 +56,11 @@ class LeaderResolver:
         if hint is not None and hint != self._suspect.get(site):
             self._cache[site] = int(hint)
 
+    def cached(self, site: int) -> int | None:
+        """*site*'s cached leader address, or ``None`` when only a
+        :meth:`resolve` query can tell."""
+        return self._cache.get(site)
+
     async def resolve(self, site: int) -> int:
         """The current leader address of *site* (cached or queried)."""
         cached = self._cache.get(site)

@@ -139,10 +139,10 @@ class ReplicaServer(SiteServer):
     # ------------------------------------------------------------------
     # Clock and faults
     # ------------------------------------------------------------------
-    async def _process(self, connection: Connection, message: dict) -> None:
+    def _tick(self) -> None:
+        # Under a fault plan the gate ticks instead (see below).
         if self.faults is None:
             self.clock.tick()
-        await super()._process(connection, message)
 
     async def _fault_gate(self, message: dict) -> bool:
         """Like the base gate, but time is the *shared* clock — and a
@@ -206,11 +206,14 @@ class ReplicaServer(SiteServer):
                 await self._ship_to(follower)
                 if not self.is_leader():
                     return
-            lag = max(
-                (self.log.seq - self._shipped.get(f, 0) for f in self._followers()),
-                default=0,
-            )
-            self.group.note_lag(lag)
+            self.group.note_lag(self._lag())
+
+    def _lag(self) -> int:
+        """Records the furthest-behind follower has not acked."""
+        return max(
+            (self.log.seq - self._shipped.get(f, 0) for f in self._followers()),
+            default=0,
+        )
 
     async def _ship_to(self, follower: int) -> None:
         records = self.log.since(self._shipped.get(follower, 0))
@@ -398,12 +401,6 @@ class ReplicaServer(SiteServer):
         believes about the lease while the leader is unreachable.
         """
         payload = super()._status_payload()
-        lag = 0
-        if self.is_leader():
-            lag = max(
-                (self.log.seq - self._shipped.get(f, 0) for f in self._followers()),
-                default=0,
-            )
         payload.update(
             role=self.role,
             replica=self.index,
@@ -416,7 +413,7 @@ class ReplicaServer(SiteServer):
             lease_ticks=self.group.lease_ticks,
             lease_expired=self._lease_expired(),
             log_seq=self.log.seq,
-            lag=lag,
+            lag=self._lag() if self.is_leader() else 0,
             suspect_followers=sorted(self._suspect_followers),
         )
         return payload

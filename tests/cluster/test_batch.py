@@ -16,6 +16,7 @@ Three layers of the batching/binary feature, pinned independently:
 """
 
 import asyncio
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -246,6 +247,11 @@ class TestCodecCompatibility:
             assert codec.encode_payload(decoded) == payload, codec.name
             # Full framing, with per-frame codec auto-detection.
             assert protocol.decode(protocol.encode(message, codec)) == message
+        # The JSON codec is the standard library's compact, key-sorted
+        # JSON byte for byte, both ways.
+        payload = JSON_CODEC.encode_payload(message)
+        assert payload == json.dumps(message, separators=(",", ":"), sort_keys=True).encode()
+        assert JSON_CODEC.decode_payload(payload) == json.loads(payload)
         assert JSON_CODEC.decode_payload(
             JSON_CODEC.encode_payload(message)
         ) == BINARY_CODEC.decode_payload(BINARY_CODEC.encode_payload(message))

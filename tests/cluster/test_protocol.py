@@ -1,7 +1,5 @@
 """The length-prefixed JSON wire protocol."""
 
-import asyncio
-
 import pytest
 
 from repro.cluster import protocol
@@ -45,6 +43,49 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             protocol.decode_payload(b'{"id": 1}')
 
+    def test_surrounding_whitespace_is_accepted(self):
+        payload = b' \n{"type": "ping", "id": 1}\t \n'
+        assert protocol.decode_payload(payload) == {"type": "ping", "id": 1}
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            (b'{"type":"ping","id":1} {}', "Extra data: line 1 column 24 (char 23)"),
+            (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+            (
+                b'{"type": "ping",',
+                "Expecting property name enclosed in double quotes: line 1 column 17 (char 16)",
+            ),
+            (b" \n", "Expecting value: line 2 column 1 (char 2)"),
+        ],
+    )
+    def test_bad_json_is_worded_as_before(self, payload, error):
+        with pytest.raises(ProtocolError) as caught:
+            protocol.decode_payload(payload)
+        assert str(caught.value) == f"frame payload is not valid JSON: {error}"
+
+    def test_deep_nesting_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="not valid JSON: maximum recursion depth"):
+            protocol.decode_payload(b"[" * 100_000)
+
+    def test_a_failed_encode_leaves_no_circularity_marks(self):
+        # The C encoder marks every container it is inside; an encode
+        # that raises half-way must not leave those marks behind for
+        # the next encode of the same objects to trip over.
+        message = {"type": "ping", "a": {"b": {1}}}
+        with pytest.raises(TypeError):
+            protocol.encode(message)
+        message["a"]["b"] = [1]
+        assert protocol.decode(protocol.encode(message)) == {"type": "ping", "a": {"b": [1]}}
+
+    def test_a_circular_message_still_raises_and_leaves_no_marks(self):
+        message = {"type": "ping", "a": {}}
+        message["a"]["loop"] = message
+        with pytest.raises(ValueError, match="Circular reference"):
+            protocol.encode(message)
+        del message["a"]["loop"]
+        assert protocol.decode(protocol.encode(message)) == {"type": "ping", "a": {}}
+
 
 class TestMessages:
     def test_request_builder(self):
@@ -85,35 +126,3 @@ class TestTraceContext:
         assert decoded == message
         assert "trace" not in decoded
 
-
-class TestReadFrame:
-    def _read(self, data, reads=1):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return [await protocol.read_frame(reader) for _ in range(reads)]
-
-        return asyncio.run(scenario())
-
-    def test_counts_frame_bytes(self):
-        frame = protocol.encode({"type": "ping", "id": 1})
-        ((message, nbytes),) = self._read(frame)
-        assert message == {"type": "ping", "id": 1}
-        assert nbytes == len(frame)
-
-    def test_eof_yields_none_and_zero(self):
-        ((message, nbytes),) = self._read(b"")
-        assert message is None
-        assert nbytes == 0
-
-    def test_read_message_still_returns_bare_messages(self):
-        frame = protocol.encode({"type": "ping", "id": 2})
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            return await protocol.read_message(reader)
-
-        assert asyncio.run(scenario()) == {"type": "ping", "id": 2}

@@ -11,14 +11,24 @@ frame moves every one of them.
 """
 
 import asyncio
+import gc
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cluster import protocol, run_cluster_sync
+from repro.cluster.siteserver import SiteServer
 from repro.cluster.transport import (
     MemoryTransport,
     TcpTransport,
     TransportError,
+    _FrameProtocol,
 )
+from repro.obs import distributed
+from repro.obs.insight import FlightRecorder
+
+from .conftest import deadlock_prone_pair
 
 
 async def _echo_handler(connection):
@@ -243,3 +253,162 @@ class TestTcpTransport:
                 await transport.connect(5)
 
         asyncio.run(scenario())
+
+    def test_a_full_run_leaves_no_open_transport(self):
+        # Sites hang up when their peer does, and close() shuts every
+        # connection it accepted: nothing is left for the collector to
+        # find open.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = run_cluster_sync(
+                deadlock_prone_pair(),
+                transport="tcp",
+                rounds=2,
+                seed=3,
+                max_retries=8,
+                request_timeout=30.0,
+            )
+            gc.collect()
+        assert report.committed == report.transactions
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+    @pytest.mark.parametrize(
+        "payload", [b"not json", b"[" * 100_000], ids=["not-json", "deeply-nested"]
+    )
+    def test_a_malformed_frame_ends_only_its_own_connection(self, payload):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _, context: errors.append(context))
+            transport = TcpTransport()
+            server = SiteServer(1, transport=transport)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*transport.addresses[1])
+            writer.write(len(payload).to_bytes(4, "big") + payload)
+            rest = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            await writer.wait_closed()
+            fresh = await transport.connect(1)
+            await fresh.send(protocol.request("ping", 1))
+            reply = await asyncio.wait_for(fresh.recv(), 5)
+            await fresh.close()
+            await server.stop()
+            await transport.close()
+            return rest, reply, errors
+
+        rest, reply, errors = asyncio.run(scenario())
+        assert rest == b""  # the site hung up without answering
+        assert reply["status"] == "pong"
+        assert errors == []
+
+
+class _Socket:
+    """Stands in for the socket under one TCP connection's frame
+    protocol: closing it reports the connection lost on the next loop
+    turn, as asyncio's transports do."""
+
+    def __init__(self, frames):
+        self.frames = frames
+        self.closed = False
+
+    def write(self, data):
+        pass
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            asyncio.get_running_loop().call_soon(self.frames.connection_lost, None)
+
+
+def _splitter():
+    frames = _FrameProtocol(1)
+    socket = _Socket(frames)
+    frames.connection_made(socket)
+    return frames, socket
+
+
+async def _drain(connection):
+    """Every message until the end of the stream, and the frame sizes
+    the wire observer was told."""
+    ring = FlightRecorder(capacity=10_000)
+    previous = distributed.WIRE.recorder
+    distributed.WIRE.attach_recorder(ring)
+    try:
+        messages = []
+        while (message := await connection.recv()) is not None:
+            messages.append(message)
+    finally:
+        distributed.WIRE.attach_recorder(previous)
+    return messages, [entry["bytes"] for entry in ring.snapshot()]
+
+
+_codecs = st.sampled_from([protocol.JSON_CODEC, protocol.BINARY_CODEC])
+_frame_messages = st.fixed_dictionaries(
+    {
+        "type": st.sampled_from(["ping", "lock", "reply"]),
+        "id": st.integers(min_value=0, max_value=2**40),
+        "txn": st.text(max_size=40),
+    }
+)
+
+
+class TestFrameSplitter:
+    """A TCP byte stream becomes the frames that were written into it,
+    however the reads happen to cut it."""
+
+    def _received(self, *chunks, eof=True):
+        async def scenario():
+            frames, _ = _splitter()
+            for chunk in chunks:
+                frames.data_received(chunk)
+            if eof:
+                frames.connection_lost(None)
+            return await _drain(frames.connection)
+
+        return asyncio.run(scenario())
+
+    def test_counts_frame_bytes(self):
+        frame = protocol.encode({"type": "ping", "id": 1})
+        messages, sizes = self._received(frame)
+        assert messages == [{"type": "ping", "id": 1}]
+        assert sizes == [len(frame)]
+
+    def test_eof_yields_none(self):
+        assert self._received() == ([], [])
+
+    def test_recv_returns_bare_messages(self):
+        messages, _ = self._received(protocol.encode({"type": "ping", "id": 2}))
+        assert messages == [{"type": "ping", "id": 2}]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sent=st.lists(st.tuples(_frame_messages, _codecs), min_size=1, max_size=8),
+        cuts=st.lists(st.integers(min_value=0, max_value=4_000), max_size=12),
+    )
+    def test_any_chunking_yields_the_same_frames(self, sent, cuts):
+        frames = [protocol.encode(message, codec) for message, codec in sent]
+        stream = b"".join(frames)
+        bounds = sorted({min(cut, len(stream)) for cut in cuts} | {0, len(stream)})
+        chunks = [stream[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        messages, sizes = self._received(*chunks)
+        assert messages == [message for message, _ in sent]
+        assert sizes == [len(frame) for frame in frames]
+
+    def test_eof_mid_frame_drops_the_partial_frame(self):
+        whole = protocol.encode({"type": "ping", "id": 1})
+        cut = protocol.encode({"type": "ping", "id": 2})[:-3]
+        messages, _ = self._received(whole, cut)
+        assert messages == [{"type": "ping", "id": 1}]
+
+    def test_oversized_prefix_closes_the_connection(self):
+        async def scenario():
+            frames, socket = _splitter()
+            frames.data_received((protocol.MAX_FRAME + 1).to_bytes(4, "big") + b"{}")
+            assert socket.closed
+            end = await asyncio.wait_for(frames.connection.recv(), 1)
+            with pytest.raises(TransportError):
+                await frames.connection.send({"type": "ping", "id": 1})
+            return end
+
+        assert asyncio.run(scenario()) is None

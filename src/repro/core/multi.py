@@ -219,12 +219,17 @@ def directed_cycles_of_interaction_graph(
             yield cycle
 
 
-def decide_safety_multi(system: TransactionSystem, *, cycle_limit: int | None = None):
+def decide_safety_multi(system: TransactionSystem):
     """Proposition 2's decision procedure for ``k >= 3`` transactions.
 
     Condition (a) uses the strongest pair decider (Theorem 2 at two
     sites, exact bit-vector search otherwise); condition (b) checks that
-    ``B_c`` has a cycle for every directed cycle of ``G``.
+    ``B_c`` has a cycle for every directed cycle of ``G`` — all of them:
+    a safe verdict needs the whole enumeration.  A caller that must
+    bound that work vets through
+    :class:`~repro.service.AdmissionRegistry`, whose ``cycle_limit``
+    raises :class:`~repro.errors.VettingBudgetError` instead of
+    answering.
     """
     from .safety import SafetyVerdict, decide_safety
 
@@ -253,9 +258,7 @@ def decide_safety_multi(system: TransactionSystem, *, cycle_limit: int | None = 
     checked = 0
     kernel = BGraphKernel(system)
     with trace.span("multi.cycles") as sp:
-        for cycle in directed_cycles_of_interaction_graph(
-            system, limit=cycle_limit
-        ):
+        for cycle in directed_cycles_of_interaction_graph(system):
             checked += 1
             if not kernel.cycle_is_cyclic(cycle):
                 if sp:

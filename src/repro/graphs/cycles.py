@@ -9,6 +9,7 @@ provides the cycle enumeration that decider needs.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable, Iterator
 
 from .digraph import DiGraph
@@ -23,17 +24,20 @@ def simple_cycles(
 
     Implementation: Johnson (1975), restricted to one strongly connected
     component at a time.  Self-loops are yielded as single-node cycles.
-    *limit* optionally caps the number of cycles produced.
+    *limit* optionally caps the enumeration: the first *limit* cycles of
+    the uncapped order, nothing past them computed (none when
+    ``limit <= 0``).
     """
-    produced = 0
+    cycles = _johnson(graph)
+    return cycles if limit is None else itertools.islice(cycles, max(limit, 0))
 
+
+def _johnson(graph: DiGraph) -> Iterator[list[Hashable]]:
+    """Every elementary cycle, lazily, in :func:`simple_cycles` order."""
     # Self-loops first; Johnson's recursion below ignores them.
     for node in graph.nodes():
         if graph.has_arc(node, node):
             yield [node]
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
 
     work = graph.without_self_loops()
     order = {node: position for position, node in enumerate(graph.nodes())}
@@ -69,25 +73,17 @@ def simple_cycles(
                     blocked_map[current].clear()
 
         def circuit(node: Hashable) -> Iterator[list[Hashable]]:
-            nonlocal produced
             found = False
             path.append(node)
             blocked.add(node)
             for nxt in sub.successors(node):
                 if nxt == start:
                     yield list(path)
-                    produced += 1
                     found = True
-                    if limit is not None and produced >= limit:
-                        path.pop()
-                        return
                 elif nxt not in blocked:
                     for cycle in circuit(nxt):
                         yield cycle
                         found = True
-                        if limit is not None and produced >= limit:
-                            path.pop()
-                            return
             if found:
                 unblock(node)
             else:
@@ -96,8 +92,6 @@ def simple_cycles(
             path.pop()
 
         yield from circuit(start)
-        if limit is not None and produced >= limit:
-            return
         # Remove the start node and continue with the remainder.
         remaining = [node for node in work.nodes() if node != start]
         work = work.subgraph(remaining)

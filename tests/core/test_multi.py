@@ -113,6 +113,15 @@ class TestProposition2:
         assert verdict.safe
         assert decide_safety_exhaustive(system).safe
 
+    def test_no_cycle_limit_to_answer_safe_from(self, db):
+        """A truncated enumeration cannot prove condition (b), so there
+        is no keyword to truncate it with."""
+        t1 = chain_transaction("T1", db, ["a", "b"], two_phase=True)
+        t2 = chain_transaction("T2", db, ["b", "c"], two_phase=True)
+        t3 = chain_transaction("T3", db, ["c", "a"], two_phase=True)
+        with pytest.raises(TypeError):
+            decide_safety_multi(TransactionSystem([t1, t2, t3]), cycle_limit=1)
+
     def test_pairwise_safe_globally_unsafe_triangle(self, db):
         """The classical phenomenon Proposition 2's condition (b) exists
         for: every pair safe, the three-cycle not."""

@@ -23,7 +23,6 @@ from ..graphs import (
     DiGraph,
     dominators as _graph_dominators,
     is_dominator as _is_dominator,
-    is_strongly_connected,
     some_dominator as _some_dominator,
 )
 from .fastcheck import _lock_tables
@@ -49,8 +48,10 @@ class PairLockOrder:
     ``entities`` is ``V`` of Definition 1; for ``x = entities[i]``,
     ``before1[i]`` is ``{y ≠ x : Lx precedes Uy in T1}`` and
     ``before2[i]`` the same in ``T2``, as bitsets over positions in
-    ``entities``.  ``D(T1, T2)`` and the realizability of a schedule bit
-    vector (DESIGN.md §2.3) are both functions of these ``2k`` ints.
+    ``entities``.  ``successors[i]`` is ``x``'s row of ``D(T1, T2)``.
+    Strong connectivity of ``D``, its dominators and the realizability
+    of a schedule bit vector (DESIGN.md §2.3) are all functions of these
+    ints; a dominator is a bitset too (:meth:`mask`).
     """
 
     def __init__(self, first: Transaction, second: Transaction) -> None:
@@ -61,6 +62,11 @@ class PairLockOrder:
             entity: 1 << position
             for position, entity in enumerate(self.entities)
         }
+        # (x, y) ∈ A iff y ∈ before1[x] and x ∈ before2[y].
+        self.successors = [
+            row & column
+            for row, column in zip(self.before1, _transpose(self.before2))
+        ]
 
     def mask(self, members: Iterable[str]) -> int:
         """The bitset of an entity set."""
@@ -70,19 +76,107 @@ class PairLockOrder:
         return bits
 
     def d_graph(self) -> DiGraph:
-        """``D(T1, T2)``: ``(x, y) ∈ A`` iff ``y ∈ before1[x]`` and
-        ``x ∈ before2[y]``.  Nodes in ``V`` order, arcs tail-major with
-        heads ascending in ``V`` order."""
+        """``D(T1, T2)`` as a :class:`DiGraph`: nodes in ``V`` order,
+        arcs tail-major with heads ascending in ``V`` order."""
         entities = self.entities
-        after2 = [0] * len(entities)  # after2[x] = {y : x ∈ before2[y]}
-        for y, row in enumerate(self.before2):
-            for x in _positions(row):
-                after2[x] |= 1 << y
         graph = DiGraph(entities)
-        for x, (row, column) in enumerate(zip(self.before1, after2)):
-            for y in _positions(row & column):
+        for x, row in enumerate(self.successors):
+            for y in _positions(row):
                 graph.add_arc(entities[x], entities[y])
         return graph
+
+    def strongly_connected(self) -> bool:
+        """Is ``D`` strongly connected?  Everything is reached from and
+        reaches the first entity; fewer than two entities count as
+        connected (no two rectangles to separate)."""
+        everything = (1 << len(self.entities)) - 1
+        if everything <= 1:
+            return True
+        return (
+            _reach(self.successors) == everything
+            and _reach(_transpose(self.successors)) == everything
+        )
+
+    def components(self) -> list[int]:
+        """The strongly connected components of ``D`` as bitsets, in the
+        order Tarjan's algorithm emits them with roots in ``V`` order and
+        successors ascending: ``strongly_connected_components``' order on
+        :meth:`d_graph`, so every arc between components runs from a
+        later one to an earlier one."""
+        successors = self.successors
+        index = [-1] * len(successors)
+        low = [0] * len(successors)
+        stack: list[int] = []
+        on_stack = 0
+        components: list[int] = []
+        counter = 0
+        for root in range(len(successors)):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack |= 1 << root
+            work = [[root, successors[root]]]  # node, successors not yet tried
+            while work:
+                frame = work[-1]
+                node, pending = frame
+                if pending:
+                    bit = pending & -pending
+                    frame[1] = pending ^ bit
+                    nxt = bit.bit_length() - 1
+                    if index[nxt] < 0:
+                        index[nxt] = low[nxt] = counter
+                        counter += 1
+                        stack.append(nxt)
+                        on_stack |= bit
+                        work.append([nxt, successors[nxt]])
+                    elif on_stack & bit and index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                    continue
+                work.pop()
+                if low[node] == index[node]:
+                    members = 0
+                    member = -1
+                    while member != node:
+                        member = stack.pop()
+                        members |= 1 << member
+                    on_stack &= ~members
+                    components.append(members)
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+        return components
+
+    def dominators(self, limit: int | None = None) -> Iterator[int]:
+        """Every dominator of ``D`` (Definition 2) as a bitset, at most
+        *limit* of them, in :func:`dominators_of`' order on
+        :meth:`d_graph`: components in topological order, each taken
+        "in" (allowed once all its predecessors are in) before "out";
+        the empty and the full set skipped."""
+        components = self.components()[::-1]
+        predecessors = _transpose(self.successors)
+        entering = []  # component -> the entities with an arc into it
+        for members in components:
+            sources = 0
+            for x in _positions(members):
+                sources |= predecessors[x]
+            entering.append(sources & ~members)
+        everything = (1 << len(self.entities)) - 1
+        count = len(components)
+        produced = 0
+        stack = [(0, 0)]  # (components decided, zero-set so far)
+        while stack:
+            position, chosen = stack.pop()
+            if position == count:
+                if chosen and chosen != everything:
+                    if limit is not None and produced >= limit:
+                        return
+                    produced += 1
+                    yield chosen
+                continue
+            stack.append((position + 1, chosen))
+            if not entering[position] & ~chosen:
+                stack.append((position + 1, chosen | components[position]))
 
     def realizable(self, zeros: int) -> bool:
         """Is the bit vector with ``b_x = 0`` exactly on *zeros* (a
@@ -121,6 +215,28 @@ def _positions(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def _transpose(rows: list[int]) -> list[int]:
+    """The bit matrix *rows* transposed: ``y ∈ result[x]`` iff
+    ``x ∈ rows[y]``."""
+    columns = [0] * len(rows)
+    for y, row in enumerate(rows):
+        for x in _positions(row):
+            columns[x] |= 1 << y
+    return columns
+
+
+def _reach(rows: list[int]) -> int:
+    """Every position reachable from position 0 along *rows*."""
+    seen = frontier = 1
+    while frontier:
+        step = 0
+        for x in _positions(frontier):
+            step |= rows[x]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def d_graph(first: Transaction, second: Transaction) -> DiGraph:
     """Build ``D(T1, T2)`` per Definition 1 (no self-loops).
 
@@ -154,12 +270,14 @@ def d_graph_of_total_orders(
 def is_d_strongly_connected(first: Transaction, second: Transaction) -> bool:
     """Theorem 1's hypothesis. A ``D`` with fewer than two vertices is
     trivially strongly connected (no two rectangles to separate)."""
-    return is_strongly_connected(d_graph(first, second))
+    return PairLockOrder(first, second).strongly_connected()
 
 
 def dominators_of(graph: DiGraph, limit: int | None = None) -> Iterator[frozenset]:
     """All dominators of ``D`` (Definition 2): nonempty proper subsets of
-    the vertices with no incoming arcs from the complement."""
+    the vertices with no incoming arcs from the complement.  The exact
+    decider enumerates the same sets, in the same order, as bitsets
+    (:meth:`PairLockOrder.dominators`)."""
     return _graph_dominators(graph, limit=limit)
 
 

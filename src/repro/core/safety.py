@@ -41,11 +41,11 @@ from dataclasses import dataclass
 from typing import Literal
 
 from ..errors import CertificateError, TransactionError
-from ..graphs import DiGraph, is_strongly_connected, topological_sort
+from ..graphs import topological_order
 from ..obs import metrics, trace
 from .certificates import UnsafenessCertificate, certificate_from_dominator
 from .closure import ClosureContradiction
-from .dgraph import PairLockOrder, d_graph, dominators_of
+from .dgraph import PairLockOrder
 from .schedule import (
     Schedule,
     ScheduledStep,
@@ -141,7 +141,7 @@ def is_safe_sufficient(first: Transaction, second: Transaction) -> bool | None:
     Returns ``True`` (provably safe) or ``None`` (criterion silent — the
     system may still be safe, cf. Fig. 5).
     """
-    if is_strongly_connected(d_graph(first, second)):
+    if PairLockOrder(first, second).strongly_connected():
         return True
     return None
 
@@ -169,7 +169,7 @@ def is_safe_two_site(first: Transaction, second: Transaction) -> bool:
             f"is_safe_two_site needs a pair on at most two sites; this "
             f"pair uses sites {sorted(used)} (use decide_safety_exact)"
         )
-    return is_strongly_connected(d_graph(first, second))
+    return PairLockOrder(first, second).strongly_connected()
 
 
 # ----------------------------------------------------------------------
@@ -185,12 +185,13 @@ def realizing_schedule(
     ``T1 ∪ T2 ∪ arcs(bits)``.
 
     ``bits[x] = 0`` ⇒ ``U1x`` before ``L2x`` (transaction 1 first);
-    ``bits[x] = 1`` ⇒ ``U2x`` before ``L1x``.  The sort runs on the
-    pair system's global step ids (``T1`` then ``T2``, each in insertion
-    order), which :class:`Schedule` validates as they are.  Raises
-    :class:`~repro.graphs.CycleError` when *bits* is not realizable
-    (:meth:`~repro.core.dgraph.PairLockOrder.realizable` tells, far
-    cheaper).
+    ``bits[x] = 1`` ⇒ ``U2x`` before ``L1x``.  The sort
+    (:func:`~repro.graphs.topological_order`, smallest id first) runs
+    on the pair system's global step ids (``T1`` then ``T2``, each in
+    insertion order), which :class:`Schedule` validates as they are.
+    Raises :class:`~repro.graphs.CycleError` when *bits* is not
+    realizable (:meth:`~repro.core.dgraph.PairLockOrder.realizable`
+    tells, far cheaper).
     """
     system = TransactionSystem([first, second])
     arcs = list(system.step_arcs)
@@ -202,8 +203,7 @@ def realizing_schedule(
                 system.step_id(later.name, later.lock_step(entity)),
             )
         )
-    order = topological_sort(DiGraph(range(system.total_steps()), arcs))
-    return Schedule(system, order)
+    return Schedule(system, topological_order(system.total_steps(), arcs))
 
 
 @_traced_verdict("safety.exact")
@@ -232,8 +232,7 @@ def decide_safety_exact(
             ),
         )
     with trace.span("safety.d_graph") as sp:
-        graph = order.d_graph()
-        connected = is_strongly_connected(graph)
+        connected = order.strongly_connected()
         if sp:
             sp.set(shared_entities=len(shared), strongly_connected=connected)
     if connected:
@@ -244,38 +243,44 @@ def decide_safety_exact(
         )
     with trace.span("safety.dominators") as sp:
         checked = 0
-        found: frozenset | None = None
+        found: int | None = None
         truncated = False
         # One dominator past the limit is asked for and never tested:
         # its existence is what tells a cut-off search from a finished one.
-        for dominator in dominators_of(
-            graph,
-            limit=None if dominator_limit is None else dominator_limit + 1,
+        for zeros in order.dominators(
+            limit=None if dominator_limit is None else dominator_limit + 1
         ):
             if checked == dominator_limit:
                 truncated = True
                 break
             checked += 1
-            if order.realizable(order.mask(dominator)):
-                found = dominator
+            if order.realizable(zeros):
+                found = zeros
                 break
         if sp:
-            sp.set(dominators_checked=checked, realizable=found is not None)
+            components = order.components()
+            sp.set(
+                dominators_checked=checked,
+                realizable=found is not None,
+                scc_count=len(components),
+                scc_max_size=max(c.bit_count() for c in components),
+            )
     if found is not None:
-        witness = realizing_schedule(
-            first,
-            second,
-            {entity: 0 if entity in found else 1 for entity in shared},
-        )
+        bits = {
+            entity: 0 if found >> position & 1 else 1
+            for position, entity in enumerate(shared)
+        }
+        witness = realizing_schedule(first, second, bits)
         assert not witness.is_serializable(), (
             "realizable mixed bit vector must yield a "
             "non-serializable schedule"
         )
+        zero_set = sorted(entity for entity, bit in bits.items() if bit == 0)
         return SafetyVerdict(
             safe=False,
             method="exact-bit-vector",
             detail=(
-                f"dominator {sorted(found)} is realizable: "
+                f"dominator {zero_set} is realizable: "
                 "witness schedule attached"
             ),
             witness=witness,
@@ -478,7 +483,7 @@ def _decide_safety_ladder(
     first, second = system.pair()
     used = sites_of_pair(first, second)
     if len(used) <= 2:
-        if is_strongly_connected(d_graph(first, second)):
+        if PairLockOrder(first, second).strongly_connected():
             return SafetyVerdict(
                 safe=True,
                 method="theorem-2",

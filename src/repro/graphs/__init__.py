@@ -22,6 +22,7 @@ from .topo import (
     all_topological_sorts,
     find_cycle,
     is_acyclic,
+    topological_order,
     topological_sort,
 )
 from .transitive import TransitiveClosure, transitive_closure, transitive_reduction
@@ -43,6 +44,7 @@ __all__ = [
     "simple_cycles",
     "some_dominator",
     "strongly_connected_components",
+    "topological_order",
     "topological_sort",
     "transitive_closure",
     "transitive_reduction",

@@ -86,6 +86,39 @@ class TestRecording:
         assert trace.stop_tracing() is None
 
 
+class TestExactDeciderSpans:
+    """The exact rung's spans carry the attributes docs/observability.md
+    lists, counted on ``D`` as the graph reference counts them."""
+
+    @pytest.mark.parametrize("figure", ["figure-5", "figure-8"])
+    def test_d_graph_and_dominator_attributes(self, tmp_path, figure):
+        from repro.core import d_graph, decide_safety_exact
+        from repro.core.reduction import reduce_cnf_to_pair
+        from repro.graphs import strongly_connected_components
+        from repro.workloads import figure_5, figure_8_formula
+
+        if figure == "figure-5":
+            first, second = figure_5().pair()
+        else:
+            artifacts = reduce_cnf_to_pair(figure_8_formula())
+            first, second = artifacts.first, artifacts.second
+        components = strongly_connected_components(d_graph(first, second))
+        path = str(tmp_path / "t.jsonl")
+        trace.start_tracing(path)
+        verdict = decide_safety_exact(first, second)
+        trace.stop_tracing()
+        records = {r["span"]: r["attrs"] for r in read_records(path)}
+        assert records["safety.d_graph"] == {
+            "shared_entities": len(d_graph(first, second)),
+            "strongly_connected": False,
+        }
+        attrs = records["safety.dominators"]
+        assert attrs["scc_count"] == len(components)
+        assert attrs["scc_max_size"] == max(len(c) for c in components)
+        assert attrs["realizable"] is (not verdict.safe)
+        assert attrs["dominators_checked"] == (1 if verdict.safe else 23)
+
+
 class TestWorkerMerge:
     def test_absorb_merges_and_deletes_worker_files(self, tmp_path):
         base = str(tmp_path / "t.jsonl")

@@ -6,8 +6,10 @@ every example is a valid model instance by construction and failures
 shrink over the parameter space.
 """
 
+import heapq
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -17,14 +19,18 @@ from repro.core import (
     decide_safety,
     decide_safety_exact,
     decide_safety_exhaustive,
+    dominators_of,
     is_safe_two_site,
     shared_locked_entities,
 )
 from repro.core.safety import realizing_schedule
 from repro.graphs import (
+    CycleError,
     DiGraph,
+    find_cycle,
     is_acyclic,
     is_strongly_connected,
+    strongly_connected_components,
     topological_sort,
 )
 from repro.workloads import random_pair_system
@@ -221,3 +227,112 @@ def test_entity_level_realizability_is_step_level_acyclicity(params):
         if acyclic:
             schedule = realizing_schedule(first, second, bits)
             assert schedule.steps == topological_sort(graph)
+
+
+# ----------------------------------------------------------------------
+# The exact rung on D's rows against the graph references
+# ----------------------------------------------------------------------
+
+small_shared_pair_params = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 10**9),
+        "sites": st.integers(2, 4),
+        "entities": st.integers(2, 6),
+        "shared": st.integers(0, 6),  # k = 0 and 1 included
+        "cross_arcs": st.integers(0, 3),
+        "two_phase": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_shared_pair_params)
+def test_row_dominators_are_the_graph_dominators_in_order(params):
+    """``PairLockOrder.dominators(limit)`` ≡ ``dominators_of`` on the
+    ``DiGraph`` D, as masks, enumeration order and every cut-off
+    included."""
+    order = PairLockOrder(*build_multi_site_pair(params))
+    graph = order.d_graph()
+    everything = [order.mask(d) for d in dominators_of(graph)]
+    assert list(order.dominators()) == everything
+    for limit in range(-1, len(everything) + 2):
+        assert list(order.dominators(limit)) == [
+            order.mask(d) for d in dominators_of(graph, limit=limit)
+        ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_shared_pair_params)
+def test_row_strong_connectivity_is_the_graph_test(params):
+    order = PairLockOrder(*build_multi_site_pair(params))
+    assert order.strongly_connected() == is_strongly_connected(order.d_graph())
+    assert order.components() == [
+        order.mask(c) for c in strongly_connected_components(order.d_graph())
+    ]
+
+
+def reference_topological_sort(graph, key=None):
+    """``topological_sort`` as it was before it delegated to
+    ``topological_order``: a heap of ``(key, insertion position)``."""
+    indegree = {node: graph.in_degree(node) for node in graph.nodes()}
+    order_of = {node: position for position, node in enumerate(graph.nodes())}
+
+    def sort_key(node):
+        if key is None:
+            return (order_of[node],)
+        return (key(node), order_of[node])
+
+    heap = []
+    tiebreak = 0
+    for node, degree in indegree.items():
+        if degree == 0:
+            heapq.heappush(heap, (sort_key(node), tiebreak, node))
+            tiebreak += 1
+    result = []
+    while heap:
+        _, _, node = heapq.heappop(heap)
+        result.append(node)
+        for nxt in graph.successors(node):
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(heap, (sort_key(nxt), tiebreak, nxt))
+                tiebreak += 1
+    if len(result) != graph.node_count():
+        raise CycleError(
+            "graph contains a directed cycle; no topological order exists",
+            find_cycle(graph),
+        )
+    return result
+
+
+@st.composite
+def labelled_digraphs(draw):
+    """Digraphs whose insertion order is not label order, acyclic or
+    not (self-loops included)."""
+    count = draw(st.integers(0, 9))
+    labels = draw(st.permutations([f"n{index}" for index in range(count)]))
+    if not labels:
+        return DiGraph()
+    node = st.sampled_from(labels)
+    arcs = draw(st.lists(st.tuples(node, node), max_size=20))
+    if draw(st.booleans()):  # acyclic: keep the arcs that follow insertion order
+        arcs = [(a, b) for a, b in arcs if labels.index(a) < labels.index(b)]
+    return DiGraph(labels, arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_digraphs(), st.integers(1, 4), st.booleans())
+def test_topological_sort_is_the_reference_sort(graph, ties, keyed):
+    """Same order with and without a key (ties broken by insertion
+    position); on a cyclic graph the same ``CycleError`` message and
+    ``.cycle``."""
+    key = (lambda node: int(node[1:]) % ties) if keyed else None
+    try:
+        expected = reference_topological_sort(graph, key)
+    except CycleError as exc:
+        with pytest.raises(CycleError) as raised:
+            topological_sort(graph, key)
+        assert str(raised.value) == str(exc)
+        assert raised.value.cycle == exc.cycle
+    else:
+        assert topological_sort(graph, key) == expected

@@ -10,6 +10,7 @@ from repro.graphs import (
     all_topological_sorts,
     find_cycle,
     is_acyclic,
+    topological_order,
     topological_sort,
 )
 
@@ -90,6 +91,24 @@ class TestTopologicalSort:
                     graph.add_arc(a, b)
         order = topological_sort(graph)
         assert is_topological(graph, order)
+
+
+class TestTopologicalOrder:
+    def test_smallest_ready_id_first(self):
+        assert topological_order(4, [(2, 0), (3, 1)]) == [2, 0, 3, 1]
+
+    def test_a_parallel_arc_changes_nothing(self):
+        arcs = [(2, 0), (2, 0), (3, 1), (3, 1), (3, 1)]
+        assert topological_order(4, arcs) == [2, 0, 3, 1]
+
+    def test_priority_then_id(self):
+        assert topological_order(4, [(1, 0)], priority=[0, 1, 1, 0]) == [3, 1, 0, 2]
+
+    def test_cycle_is_find_cycle_on_the_ids(self):
+        arcs = [(0, 1), (1, 2), (2, 1), (2, 1)]
+        with pytest.raises(CycleError) as excinfo:
+            topological_order(3, arcs)
+        assert excinfo.value.cycle == find_cycle(DiGraph(range(3), arcs)) == [1, 2, 1]
 
 
 class TestAllTopologicalSorts:

@@ -1,24 +1,22 @@
-"""E9 — admission-service throughput: fingerprint cache and fan-out.
+"""E9a — admission-service throughput: the fingerprint cache.
 
 Series: a fleet of 200+ clustered transactions pushed through the
-:class:`repro.service.AdmissionRegistry` three ways — cold (empty
-verdict cache), warm (a second fresh registry sharing the warmed
-cache), and as one cold pair batch fanned out over process-pool
-workers.  The admitted set must be *identical* to a reference mirror
+:class:`repro.service.AdmissionRegistry` twice — cold (empty verdict
+cache) and warm (a second fresh registry sharing the warmed cache).
+The admitted set must be *identical* to a reference mirror
 that calls :func:`repro.core.decide_safety` on every new-vs-accepted
 pair directly, with no fingerprints, no cache, and no trivial-pair
 fast path.
 
 Results land in ``results/BENCH_service.json`` (machine readable) and
-``results/E9*-*.txt`` (prose).
+``results/E9a-service-cache.txt`` (prose).
 """
 
-import os
 import random
 import time
 
 from repro.core import DistributedDatabase, TransactionSystem, decide_safety
-from repro.service import AdmissionRegistry, PairVettingPool, VerdictCache
+from repro.service import AdmissionRegistry, VerdictCache
 from repro.workloads import random_transaction
 
 from _series import metrics_snapshot, report, table, write_bench
@@ -98,23 +96,16 @@ def reference_admissions(fleet):
     return admitted_names
 
 
-def admit_all(fleet, *, database, cache, workers=1):
+def admit_all(fleet, *, database, cache):
     """Push the whole fleet through one registry; return the admitted
     names, the elapsed wall time, the stats dict and an observability
     snapshot (per-phase seconds, cache hit rate)."""
-    registry = AdmissionRegistry(
-        database=database,
-        cache=cache,
-        pool=PairVettingPool(workers=workers),
-    )
+    registry = AdmissionRegistry(database=database, cache=cache)
     start = time.perf_counter()
-    try:
-        decisions = [
-            registry.admit(transaction, want_certificate=False)
-            for transaction in fleet
-        ]
-    finally:
-        registry.pool.close()
+    decisions = [
+        registry.admit(transaction, want_certificate=False)
+        for transaction in fleet
+    ]
     elapsed = time.perf_counter() - start
     admitted = {d.name for d in decisions if d.admitted}
     snapshot = metrics_snapshot(registry.stats, registry.cache)
@@ -189,54 +180,3 @@ def test_service_cache_warmup(benchmark):
     assert cold_admitted == warm_admitted == reference
     assert warm_stats["service"]["pairs_vetted"] == 0
     assert speedup >= 5.0
-
-
-def test_service_parallel_batch(benchmark):
-    rng = random.Random(FLEET_SEED)
-    _, fleet = clustered_fleet(rng)
-    by_name = {transaction.name: transaction for transaction in fleet}
-    pairs = [
-        (by_name[f"c{c}t{i}"], by_name[f"c{c}t{i + 1}"])
-        for c in range(CLUSTERS)
-        for i in range(CLUSTER_SIZE - 1)
-    ]
-
-    timings = {}
-    rows = []
-    verdicts = {}
-    for workers in (1, 4):
-        with PairVettingPool(workers=workers) as pool:
-            pool.vet(pairs[:2])  # force executor start-up out of the timing
-            start = time.perf_counter()
-            results = pool.vet(pairs)
-            timings[workers] = time.perf_counter() - start
-        verdicts[workers] = [row.safe for row in results]
-        rows.append((workers, f"{timings[workers]:.3f} s"))
-    assert verdicts[1] == verdicts[4]
-
-    with PairVettingPool(workers=1) as pool:
-        benchmark(lambda: pool.vet(pairs[:20]))
-
-    cpu_count = os.cpu_count() or 1
-    report(
-        "E9b-service-pool",
-        f"cold pair batch ({len(pairs)} pairs) vs worker count "
-        f"(host has {cpu_count} CPU(s))",
-        table(["workers", "time"], rows)
-        + [
-            "with a single host CPU the fan-out can only add IPC "
-            "overhead; on a multi-core host workers=4 takes the lead",
-        ],
-    )
-    write_bench(
-        "BENCH_service",
-        params={"batch_pairs": len(pairs)},
-        samples={
-            "parallel_batch": {
-                "workers_1_seconds": round(timings[1], 4),
-                "workers_4_seconds": round(timings[4], 4),
-            },
-        },
-    )
-    if cpu_count >= 4:
-        assert timings[4] < timings[1]

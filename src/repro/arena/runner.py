@@ -61,11 +61,7 @@ def run_cell(
         config or ClusterConfig(), seed=derived, fault_plan=fault_plan, **workload.cluster_kwargs()
     )
     gateway = Gateway(cycle_limit=vet_cycle_limit) if config.vet else None
-    try:
-        report = run_sync(workload.system, replace(config, gateway=gateway))
-    finally:
-        if gateway is not None:
-            gateway.close()
+    report = run_sync(workload.system, replace(config, gateway=gateway))
     return ArenaCell.from_report(
         report,
         policy=policy,

@@ -36,8 +36,7 @@ Subcommands
 ``vet FILE...``
     Batch-vet many system files through one admission registry
     (:mod:`repro.service`): every transaction is admitted incrementally,
-    with fingerprint-cached pair verdicts and optional parallel vetting
-    (``--workers N``).
+    with fingerprint-cached pair verdicts.
 
 ``serve``
     Long-running line-oriented admission loop on stdin/stdout:
@@ -340,50 +339,43 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_vet(args: argparse.Namespace) -> int:
     from .errors import AdmissionError
-    from .service import AdmissionRegistry, PairVettingPool, VerdictCache
+    from .service import AdmissionRegistry, VerdictCache
 
     registry = AdmissionRegistry(
         cache=VerdictCache(args.cache_size),
-        pool=PairVettingPool(
-            workers=args.workers, max_retries=args.pool_retries
-        ),
         cycle_limit=args.cycle_limit,
         admission_timeout=args.admission_timeout,
     )
     decisions = []
     skipped: list[str] = []
-    try:
-        for path in args.files:
-            log.info(f"loading {path}")
-            system = _load_system(path)
-            for transaction in system.transactions:
-                if transaction.name in registry:
-                    suffix = 2
-                    while f"{transaction.name}@{suffix}" in registry:
-                        suffix += 1
-                    transaction = transaction.renamed(
-                        f"{transaction.name}@{suffix}"
+    for path in args.files:
+        log.info(f"loading {path}")
+        system = _load_system(path)
+        for transaction in system.transactions:
+            if transaction.name in registry:
+                suffix = 2
+                while f"{transaction.name}@{suffix}" in registry:
+                    suffix += 1
+                transaction = transaction.renamed(
+                    f"{transaction.name}@{suffix}"
+                )
+            try:
+                decisions.append(
+                    registry.admit(
+                        transaction, want_certificate=args.certificate
                     )
-                try:
-                    decisions.append(
-                        registry.admit(
-                            transaction, want_certificate=args.certificate
-                        )
-                    )
-                except AdmissionError as exc:
-                    # A protocol-level problem with this one transaction
-                    # (wrong database, undecided cycle enumeration) must
-                    # not abort the rest of the batch.
-                    skipped.append(transaction.name)
-                    log.error(f"SKIP   {transaction.name}  {exc}")
-    finally:
-        registry.pool.close()
+                )
+            except AdmissionError as exc:
+                # A protocol-level problem with this one transaction
+                # (wrong database, undecided cycle enumeration) must
+                # not abort the rest of the batch.
+                skipped.append(transaction.name)
+                log.error(f"SKIP   {transaction.name}  {exc}")
     admitted = sum(decision.admitted for decision in decisions)
     clean = admitted == len(decisions) and not skipped
     if args.json:
         payload = {
             "files": list(args.files),
-            "workers": args.workers,
             "admitted": admitted,
             "rejected": len(decisions) - admitted,
             "skipped": skipped,
@@ -417,13 +409,10 @@ def cmd_vet(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import AdmissionRegistry, PairVettingPool, VerdictCache
+    from .service import AdmissionRegistry, VerdictCache
 
     registry = AdmissionRegistry(
         cache=VerdictCache(args.cache_size),
-        pool=PairVettingPool(
-            workers=args.workers, max_retries=args.pool_retries
-        ),
         cycle_limit=args.cycle_limit,
         admission_timeout=args.admission_timeout,
     )
@@ -445,62 +434,59 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return "\n".join(lines)
 
     respond("READY")
-    try:
-        for raw in sys.stdin:
-            line = raw.strip()
-            if not line:
-                continue
-            command, _, rest = line.partition(" ")
-            command = command.upper()
-            try:
-                if command == "QUIT":
-                    respond("OK bye")
-                    break
-                if command == "STATS":
-                    respond("STATS " + json.dumps(registry.stats_dict()))
-                elif command == "METRICS":
-                    respond(
-                        "METRICS " + json.dumps(metrics.REGISTRY.to_dict())
+    for raw in sys.stdin:
+        line = raw.strip()
+        if not line:
+            continue
+        command, _, rest = line.partition(" ")
+        command = command.upper()
+        try:
+            if command == "QUIT":
+                respond("OK bye")
+                break
+            if command == "STATS":
+                respond("STATS " + json.dumps(registry.stats_dict()))
+            elif command == "METRICS":
+                respond(
+                    "METRICS " + json.dumps(metrics.REGISTRY.to_dict())
+                )
+            elif command == "EVICT":
+                name = rest.strip()
+                registry.evict(name)
+                respond(f"OK evicted {name}")
+            elif command == "ADMIT":
+                # The request line carries a DSL document with ';'
+                # standing in for newlines; the database section may
+                # be omitted once the registry has one.
+                text = rest.replace(";", "\n")
+                prelude = database_prelude()
+                if prelude is not None and not any(
+                    line.strip() == "database"
+                    for line in text.splitlines()
+                ):
+                    text = prelude + "\n" + text
+                system = parse_system(text)
+                admitted_names = []
+                rejection = None
+                for transaction in system.transactions:
+                    decision = registry.admit(
+                        transaction, want_certificate=False
                     )
-                elif command == "EVICT":
-                    name = rest.strip()
-                    registry.evict(name)
-                    respond(f"OK evicted {name}")
-                elif command == "ADMIT":
-                    # The request line carries a DSL document with ';'
-                    # standing in for newlines; the database section may
-                    # be omitted once the registry has one.
-                    text = rest.replace(";", "\n")
-                    prelude = database_prelude()
-                    if prelude is not None and not any(
-                        line.strip() == "database"
-                        for line in text.splitlines()
-                    ):
-                        text = prelude + "\n" + text
-                    system = parse_system(text)
-                    admitted_names = []
-                    rejection = None
-                    for transaction in system.transactions:
-                        decision = registry.admit(
-                            transaction, want_certificate=False
-                        )
-                        if not decision.admitted:
-                            rejection = decision
-                            break
-                        admitted_names.append(decision.name)
-                    if rejection is not None:
-                        respond(
-                            f"REJECT {rejection.name} "
-                            f"{rejection.verdict.detail}"
-                        )
-                    else:
-                        respond(f"OK admitted {' '.join(admitted_names)}")
+                    if not decision.admitted:
+                        rejection = decision
+                        break
+                    admitted_names.append(decision.name)
+                if rejection is not None:
+                    respond(
+                        f"REJECT {rejection.name} "
+                        f"{rejection.verdict.detail}"
+                    )
                 else:
-                    respond(f"ERR unknown command {command!r}")
-            except ReproError as exc:
-                respond(f"ERR {exc}")
-    finally:
-        registry.pool.close()
+                    respond(f"OK admitted {' '.join(admitted_names)}")
+            else:
+                respond(f"ERR unknown command {command!r}")
+        except ReproError as exc:
+            respond(f"ERR {exc}")
     return 0
 
 
@@ -919,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         "vet", help="batch-vet system files through one admission registry"
     )
     vet.add_argument("files", nargs="+")
-    vet.add_argument("--workers", type=int, default=1)
     vet.add_argument("--cache-size", type=int, default=65536)
     vet.add_argument("--cycle-limit", type=int, default=None)
     vet.add_argument("--certificate", action="store_true")
@@ -932,13 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECONDS",
             default=None,
             help="per-admission pair-vetting budget (default: none)",
-        )
-        command.add_argument(
-            "--pool-retries",
-            type=int,
-            default=2,
-            help="worker-respawn attempts per batch before vetting "
-            "inline (default 2)",
         )
 
     add_degradation_flags(vet)
@@ -1246,7 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="line-oriented admission request loop on stdin"
     )
-    serve.add_argument("--workers", type=int, default=1)
     serve.add_argument("--cache-size", type=int, default=65536)
     serve.add_argument("--cycle-limit", type=int, default=None)
     add_degradation_flags(serve)

@@ -27,7 +27,6 @@ from ..core.safety import SafetyVerdict
 from ..core.schedule import TransactionSystem
 from ..errors import VettingBudgetError
 from ..service.cache import VerdictCache
-from ..service.pool import PairVettingPool
 from ..service.registry import AdmissionDecision, AdmissionRegistry
 
 
@@ -60,12 +59,10 @@ class Gateway:
         self,
         *,
         cache_size: int = 65536,
-        workers: int = 1,
         cycle_limit: int | None = None,
     ) -> None:
         self.registry = AdmissionRegistry(
             cache=VerdictCache(cache_size),
-            pool=PairVettingPool(workers=workers),
             cycle_limit=cycle_limit,
         )
 
@@ -113,4 +110,5 @@ class Gateway:
         return self.registry.stats_dict()
 
     def close(self) -> None:
-        self.registry.pool.close()
+        # Nothing to release; benchmarks/suite/workloads.py still calls it.
+        pass

@@ -524,7 +524,6 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
     with trace.span(topology_class.span) as sp:
         if sp:
             sp.set(transport=transport_name, sites=system.database.sites, rounds=config.rounds)
-        gateway = config.gateway
         decision: GatewayDecision | None = None
         topology: Topology | None = None
         for prefix in topology_class.metric_prefixes:
@@ -537,9 +536,7 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
                 event_log.ring = ring
         try:
             if config.vet:
-                if gateway is None:
-                    gateway = Gateway()
-                decision = gateway.vet(system)
+                decision = (config.gateway or Gateway()).vet(system)
             topology = topology_class(system, config, transport)
             if event_log is not None:
                 # With a shared clock, wire events (send/recv) carry
@@ -570,8 +567,6 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
                 await topology.close()
             if not isinstance(config.transport, Transport):
                 await transport.close()
-            if gateway is not config.gateway:
-                gateway.close()
             if config.wire_metrics:
                 distributed.WIRE.disable_metrics()
             if ring is not None:

@@ -80,7 +80,6 @@ from .trace import (
     NullSpan,
     Span,
     Tracer,
-    absorb_worker_traces,
     current_span,
     detached_span,
     span,
@@ -111,7 +110,6 @@ __all__ = [
     "Tracer",
     "WIRE",
     "WireObserver",
-    "absorb_worker_traces",
     "aggregate",
     "contention_from_records",
     "current_span",

@@ -5,8 +5,8 @@ written by :mod:`repro.obs.trace` is grouped by span name and
 summarized as call count, **total** time (sum of span durations) and
 **self** time (total minus the time spent in child spans — the number
 that actually ranks where a run went).  Parent/child links are
-resolved per ``pid``, so a trace merged from process-pool workers
-aggregates correctly.
+resolved per ``pid``, so the traces of several processes read
+together aggregate correctly.
 
 When the records carry distributed-trace fields
 (:mod:`repro.obs.distributed` — a ``trace_id`` per transaction and

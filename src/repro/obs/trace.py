@@ -3,7 +3,7 @@
 The tracer is a process-global switch: :func:`start_tracing` opens a
 JSONL file and every subsequent :func:`span` records one line per
 finished span — name, start offset and duration in nanoseconds
-(``time.perf_counter_ns``), parent span id, the worker pid, and any
+(``time.perf_counter_ns``), parent span id, the process pid, and any
 attributes the instrumented code attached.  While tracing is *off*,
 :func:`span` returns one shared :data:`NULL_SPAN` singleton whose
 ``__enter__``/``__exit__`` do nothing, so the instrumented hot paths
@@ -20,12 +20,9 @@ A span that exits through an exception is still recorded, with
 ``error=True`` and the exception type attached (and the exception is
 never swallowed).
 
-Process-pool workers cannot share the parent's file handle, so each
-worker traces into ``<path>.w<pid>`` (:func:`worker_trace_path`, set up
-by :func:`worker_init` from a pool initializer) and the parent merges
-the per-worker files back into the main file with
-:func:`absorb_worker_traces` when the pool is closed.  Records carry
-their ``pid`` so parent ids never collide across processes.
+Each process traces into its own file.  Records carry their ``pid``
+so span ids never collide when the files of several processes (the
+sites of a TCP cluster) are read together.
 
 Concurrent asyncio tasks cannot use the implicit span *stack* — a span
 held open across an ``await`` would adopt children from whichever task
@@ -39,7 +36,6 @@ wire propagation and merge model on top.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import time
@@ -141,8 +137,8 @@ class Tracer:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        # Line buffered so a fork never duplicates half-written records
-        # out of the parent's buffer into a worker's file.
+        # Line buffered: every finished span reaches the file as a
+        # whole line, even if the process dies before close().
         self._file = open(path, "w", encoding="utf-8", buffering=1)
         self._origin_ns = time.perf_counter_ns()
         self._next_id = 1
@@ -169,18 +165,6 @@ class Tracer:
         if span.attrs:
             record["attrs"] = _jsonable(span.attrs)
         self._file.write(json.dumps(record) + "\n")
-
-    def absorb(self, path: str) -> int:
-        """Append the records of another trace file (a worker's) into
-        this tracer's file; returns the number of lines absorbed."""
-        absorbed = 0
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    self._file.write(line + "\n")
-                    absorbed += 1
-        return absorbed
 
     def close(self) -> None:
         self._file.close()
@@ -299,41 +283,3 @@ def tracer_pid() -> int:
     """The pid the active tracer stamps into records (this process);
     0 when tracing is off."""
     return _tracer._pid if _tracer is not None else 0
-
-
-# ----------------------------------------------------------------------
-# Process-pool boundary
-# ----------------------------------------------------------------------
-
-
-def worker_trace_path(base: str, pid: int) -> str:
-    """Per-worker trace file for the parent trace *base*."""
-    return f"{base}.w{pid}"
-
-
-def worker_init(base: str) -> None:
-    """Pool-worker initializer: trace into this worker's own file.
-
-    Runs in the child after fork; the inherited parent tracer (if any)
-    is *abandoned*, not closed — closing would flush the parent's
-    buffered bytes into the child's copy of the file.
-    """
-    global _tracer
-    _tracer = None
-    start_tracing(worker_trace_path(base, os.getpid()))
-
-
-def absorb_worker_traces(base: str | None = None) -> int:
-    """Merge every ``<base>.w*`` worker file into the active tracer and
-    delete the worker files; returns the number of records absorbed.
-    No-op (returns 0) when tracing is off."""
-    tracer = _tracer
-    if tracer is None:
-        return 0
-    if base is None:
-        base = tracer.path
-    absorbed = 0
-    for worker_file in sorted(glob.glob(f"{glob.escape(base)}.w*")):
-        absorbed += tracer.absorb(worker_file)
-        os.remove(worker_file)
-    return absorbed

@@ -14,14 +14,8 @@ long-running service:
 * :mod:`~repro.service.registry` — the incremental admission state
   machine: admit / reject-with-certificate / evict, vetting only the
   new-vs-existing pairs plus the interaction cycles through the
-  newcomer (Proposition 2);
-* :mod:`~repro.service.pool` — a process-pool fan-out that vets pair
-  batches in parallel with chunking and an ordered-result merge, and
-  degrades gracefully (PR 3): worker deaths respawn-and-resubmit only
-  the lost chunks, repeated failures trip a circuit breaker, and the
-  batch falls back to inline vetting instead of being lost;
-* :mod:`~repro.service.breaker` — the consecutive-failure circuit
-  breaker guarding the pool;
+  newcomer (Proposition 2), inline and under an optional
+  per-admission timeout;
 * :mod:`~repro.service.stats` — structured counters and per-phase wall
   time.
 
@@ -30,10 +24,8 @@ one registry) and ``repro serve`` (line-oriented request loop); see
 ``docs/service.md``.
 """
 
-from .breaker import CircuitBreaker
 from .cache import CachedVerdict, VerdictCache
 from .fingerprint import fingerprint_of, pair_key
-from .pool import PairVerdict, PairVettingPool
 from .registry import AdmissionDecision, AdmissionRegistry
 from .stats import ServiceStats
 
@@ -41,9 +33,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionRegistry",
     "CachedVerdict",
-    "CircuitBreaker",
-    "PairVerdict",
-    "PairVettingPool",
     "ServiceStats",
     "VerdictCache",
     "fingerprint_of",

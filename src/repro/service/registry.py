@@ -15,14 +15,15 @@ paper's decision procedure run **incrementally** (Proposition 2):
 
 Pair verdicts are looked up in a fingerprint-keyed LRU cache
 (:mod:`repro.service.cache`) before any deciding happens, and cache
-misses are fanned out over a :class:`~repro.service.pool.
-PairVettingPool`.  A rejection never mutates the registry and carries a
-replayable piece of evidence: the failing pair's certificate or witness
-schedule, or the acyclic-``B_c`` interaction cycle.
+misses are decided inline, one pair after another.  A rejection never
+mutates the registry and carries a replayable piece of evidence: the
+failing pair's certificate or witness schedule, or the acyclic-``B_c``
+interaction cycle.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..core.entity import DistributedDatabase
@@ -35,7 +36,6 @@ from ..graphs import DiGraph, simple_cycles
 from ..obs import trace
 from .cache import CachedVerdict, VerdictCache
 from .fingerprint import fingerprint_of, pair_key
-from .pool import PairVettingPool
 from .stats import ServiceStats
 
 
@@ -88,24 +88,22 @@ class AdmissionRegistry:
         *,
         database: DistributedDatabase | None = None,
         cache: VerdictCache | None = None,
-        pool: PairVettingPool | None = None,
         stats: ServiceStats | None = None,
         cycle_limit: int | None = None,
         admission_timeout: float | None = None,
     ) -> None:
         """*database* may be fixed up front or adopted from the first
-        admission.  *cache* and *pool* may be shared between registries
-        (that is how a warmed cache carries over); *cycle_limit* bounds
-        the Proposition 2 cycle enumeration per admission (``None`` =
+        admission.  *cache* may be shared between registries (that is
+        how a warmed cache carries over); *cycle_limit* bounds the
+        Proposition 2 cycle enumeration per admission (``None`` =
         exhaustive; hitting the bound raises
         :class:`~repro.errors.VettingBudgetError` rather than answering
-        unsoundly); *admission_timeout* (seconds)
-        bounds each admission's pair-vetting work — expiry raises
+        unsoundly); *admission_timeout* (seconds) bounds each
+        admission's pair-vetting work — expiry raises
         :class:`~repro.errors.AdmissionTimeout` and leaves the registry
         unchanged."""
         self.database = database
         self.cache = cache if cache is not None else VerdictCache()
-        self.pool = pool if pool is not None else PairVettingPool(workers=1)
         self.stats = stats if stats is not None else ServiceStats()
         self.cycle_limit = cycle_limit
         self.admission_timeout = admission_timeout
@@ -158,12 +156,11 @@ class AdmissionRegistry:
         return edges
 
     def stats_dict(self) -> dict:
-        """Service counters, cache counters, pool health and size."""
+        """Service counters, cache counters and size."""
         return {
             "live_transactions": len(self._members),
             "service": self.stats.as_dict(),
             "cache": self.cache.stats(),
-            "pool": self.pool.health_dict(),
         }
 
     # ------------------------------------------------------------------
@@ -327,23 +324,38 @@ class AdmissionRegistry:
                     continue
                 to_vet.append((other_name, record.transaction))
             if unsafe_partner is None and to_vet:
-                verdicts = self.pool.vet(
-                    [(transaction, other) for _, other in to_vet],
-                    timeout=self.admission_timeout,
+                deadline = (
+                    None
+                    if self.admission_timeout is None
+                    else time.monotonic() + self.admission_timeout
                 )
+                verdicts: list[CachedVerdict] = []
+                for _, other in to_vet:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise AdmissionTimeout(
+                            f"pair vetting exceeded its admission timeout "
+                            f"with {len(to_vet) - len(verdicts)} pairs left"
+                        )
+                    verdict = decide_safety(
+                        TransactionSystem([transaction, other]),
+                        want_certificate=False,
+                    )
+                    verdicts.append(
+                        CachedVerdict(
+                            verdict.safe, verdict.method, verdict.detail
+                        )
+                    )
                 decision.pairs_vetted += len(to_vet)
                 self.stats.count("pairs_vetted", len(to_vet))
-                for (other_name, other), verdict in zip(to_vet, verdicts):
+                # Cached only once the whole batch is decided, so a
+                # timed-out admission leaves the cache unchanged too.
+                for (other_name, _), verdict in zip(to_vet, verdicts):
                     self.cache.put(
                         pair_key(
                             fingerprint,
                             self._members[other_name].fingerprint,
                         ),
-                        CachedVerdict(
-                            safe=verdict.safe,
-                            method=verdict.method,
-                            detail=verdict.detail,
-                        ),
+                        verdict,
                     )
                     if not verdict.safe and unsafe_partner is None:
                         unsafe_partner = other_name

@@ -572,43 +572,34 @@ def _vetted_instances(
     # Lazy: the admission service is only needed for this one policy,
     # and nothing else in the workloads package depends on it.
     from ..errors import VettingBudgetError
-    from ..service.cache import VerdictCache
-    from ..service.pool import PairVettingPool
     from ..service.registry import AdmissionRegistry
 
-    registry = AdmissionRegistry(
-        cache=VerdictCache(),
-        pool=PairVettingPool(workers=1),
-        cycle_limit=VET_CYCLE_LIMIT,
-    )
+    registry = AdmissionRegistry(cycle_limit=VET_CYCLE_LIMIT)
     instances: list[Transaction] = []
     long_names: list[str] = []
     attempts_left = spec.transactions * _VET_ATTEMPT_FACTOR
-    try:
-        while len(instances) < spec.transactions and attempts_left > 0:
-            attempts_left -= 1
-            is_long, touched = draw_shape()
-            name = f"T{len(instances) + 1}"
-            chosen = _weighted_sample(rng, names, weights, touched)
-            candidate = random_transaction(
-                name,
-                database,
-                rng,
-                entities=chosen,
-                cross_arcs=0,
-                two_phase=False,
-            )
-            try:
-                decision = registry.admit(candidate, want_certificate=False)
-            except VettingBudgetError:
-                continue
-            if not decision.admitted:
-                continue
-            if is_long:
-                long_names.append(name)
-            instances.append(candidate)
-    finally:
-        registry.pool.close()
+    while len(instances) < spec.transactions and attempts_left > 0:
+        attempts_left -= 1
+        is_long, touched = draw_shape()
+        name = f"T{len(instances) + 1}"
+        chosen = _weighted_sample(rng, names, weights, touched)
+        candidate = random_transaction(
+            name,
+            database,
+            rng,
+            entities=chosen,
+            cross_arcs=0,
+            two_phase=False,
+        )
+        try:
+            decision = registry.admit(candidate, want_certificate=False)
+        except VettingBudgetError:
+            continue
+        if not decision.admitted:
+            continue
+        if is_long:
+            long_names.append(name)
+        instances.append(candidate)
     return instances, long_names
 
 

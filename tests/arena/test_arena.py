@@ -203,11 +203,8 @@ class TestBudgetedVettingIsPinned:
             spec, policy="2pl", seed=cell_seed(0, "2pl", spec.name, NO_FAULTS)
         ).system
         gateway = Gateway(cycle_limit=VET_CYCLE_LIMIT)
-        try:
-            decision = gateway.vet(system)
-            service = gateway.stats_dict()["service"]
-        finally:
-            gateway.close()
+        decision = gateway.vet(system)
+        service = gateway.stats_dict()["service"]
         assert decision.mode == "runtime-guarded"
         assert [d.admitted for d in decision.decisions] == [True] * 9 + [False] * 3
         assert [d.verdict.method for d in decision.decisions] == (

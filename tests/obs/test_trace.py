@@ -1,5 +1,5 @@
 """Span tracing: nesting, the disabled fast path, error capture, and
-the process-pool worker-file merge."""
+the exact decider's span attributes."""
 
 import json
 import os
@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.obs import trace
-from repro.obs.trace import NULL_SPAN, absorb_worker_traces, span
+from repro.obs.trace import NULL_SPAN, span
 
 
 def read_records(path):
@@ -117,62 +117,3 @@ class TestExactDeciderSpans:
         assert attrs["scc_max_size"] == max(len(c) for c in components)
         assert attrs["realizable"] is (not verdict.safe)
         assert attrs["dominators_checked"] == (1 if verdict.safe else 23)
-
-
-class TestWorkerMerge:
-    def test_absorb_merges_and_deletes_worker_files(self, tmp_path):
-        base = str(tmp_path / "t.jsonl")
-        trace.start_tracing(base)
-        with span("parent.work"):
-            pass
-        worker_file = trace.worker_trace_path(base, 4242)
-        with open(worker_file, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"span": "worker.work", "id": 1, "pid": 4242,
-                     "start_ns": 0, "dur_ns": 10}
-                )
-                + "\n"
-            )
-        assert absorb_worker_traces(base) == 1
-        trace.stop_tracing()
-        assert not os.path.exists(worker_file)
-        records = read_records(base)
-        assert {r["span"] for r in records} == {"parent.work", "worker.work"}
-        assert {r["pid"] for r in records} == {os.getpid(), 4242}
-
-    def test_absorb_is_noop_when_tracing_off(self, tmp_path):
-        assert absorb_worker_traces(str(tmp_path / "t.jsonl")) == 0
-
-    def test_pool_vetting_spans_cross_the_process_boundary(self, tmp_path):
-        import random
-
-        from repro.service import PairVettingPool
-        from repro.workloads import random_pair_system
-
-        pairs = []
-        for offset in range(6):
-            rng = random.Random(400 + offset)
-            system = random_pair_system(
-                rng, sites=2, entities=3, shared=2,
-                cross_arcs=rng.randint(0, 2),
-            )
-            pairs.append(tuple(system.transactions))
-
-        base = str(tmp_path / "pool.jsonl")
-        trace.start_tracing(base)
-        with PairVettingPool(workers=2) as pool:
-            pool.vet(pairs)
-        trace.stop_tracing()
-        records = read_records(base)
-        worker_pids = {
-            r["pid"] for r in records if r["span"] == "safety.decide"
-        }
-        assert len(records) >= len(pairs)
-        assert worker_pids and os.getpid() not in worker_pids
-        leftovers = [
-            name
-            for name in os.listdir(tmp_path)
-            if name.startswith("pool.jsonl.w")
-        ]
-        assert leftovers == []

@@ -3,7 +3,7 @@
 For random two-site workloads, sequential admission through the
 registry must agree with the offline :func:`repro.core.decide_safety`
 at every step — and stay bit-identical when the verdicts come from a
-warmed cache or a parallel vetting pool instead of fresh decisions.
+warmed cache instead of fresh decisions.
 Rejected admissions must carry replayable evidence.
 """
 
@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TransactionSystem, decide_safety
-from repro.service import AdmissionRegistry, PairVettingPool, VerdictCache
+from repro.service import AdmissionRegistry, VerdictCache
 from repro.sim import ReplayDriver, run_once
 from repro.workloads import random_system
 
@@ -41,10 +41,7 @@ def build(params) -> TransactionSystem:
 
 def admit_fleet(system, **registry_kwargs):
     registry = AdmissionRegistry(**registry_kwargs)
-    try:
-        return registry.admit_system(system, want_certificate=True)
-    finally:
-        registry.pool.close()
+    return registry.admit_system(system, want_certificate=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,16 +66,14 @@ def test_admission_matches_offline_decider_stepwise(params):
 
 @settings(max_examples=15, deadline=None)
 @given(workload_params)
-def test_cached_and_parallel_paths_agree(params):
+def test_cached_path_agrees(params):
     system = build(params)
     cache = VerdictCache()
     cold = admit_fleet(system, cache=cache)
     warm = admit_fleet(system, cache=cache)
-    parallel = admit_fleet(system, pool=PairVettingPool(workers=2))
 
     cold_bits = [decision.admitted for decision in cold]
     assert [decision.admitted for decision in warm] == cold_bits
-    assert [decision.admitted for decision in parallel] == cold_bits
     # The warm pass decided everything from the cache.
     assert sum(decision.pairs_vetted for decision in warm) == 0
 

@@ -1,5 +1,7 @@
 """The incremental admission state machine."""
 
+import types
+
 import pytest
 
 from repro.core import (
@@ -8,7 +10,7 @@ from repro.core import (
     TransactionSystem,
     decide_safety,
 )
-from repro.errors import AdmissionError, VettingBudgetError
+from repro.errors import AdmissionError, AdmissionTimeout, VettingBudgetError
 from repro.service import AdmissionRegistry, VerdictCache
 
 
@@ -247,11 +249,56 @@ class TestCacheSharing:
         assert decision.verdict.certificate is not None
 
 
+class TestRegistryTimeout:
+    def test_timed_out_admission_is_counted_and_rolled_back(
+        self, simple_safe_pair
+    ):
+        registry = AdmissionRegistry(admission_timeout=0.0)
+        first, second = simple_safe_pair.transactions
+        registry.admit(first)  # no pairs to vet, cannot time out
+        with pytest.raises(AdmissionTimeout):
+            registry.admit(second)
+        assert registry.stats.admission_timeouts == 1
+        assert registry.stats.pairs_vetted == 0
+        assert second.name not in registry  # nothing half-admitted
+        assert len(registry.cache) == 0  # nor half-cached
+
+    def test_inline_timeout_raises_admission_timeout(self, db, monkeypatch):
+        # Distinct shapes, so every pair is a cache miss to vet.
+        registry = AdmissionRegistry()
+        for name, entities in [
+            ("T1", ["a", "b"]),
+            ("T2", ["b", "a"]),
+            ("T3", ["a", "b", "c"]),
+            ("T4", ["c", "b", "a"]),
+        ]:
+            transaction = chain(name, db, entities, two_phase=True)
+            assert registry.admit(transaction).admitted
+        cached = len(registry.cache)
+        # Each clock read advances 0.3 s against a 0.5 s budget: the
+        # first pair is decided, the deadline expires before the second.
+        ticks = iter(0.3 * step for step in range(100))
+        monkeypatch.setattr(
+            "repro.service.registry.time",
+            types.SimpleNamespace(monotonic=lambda: next(ticks)),
+        )
+        registry.admission_timeout = 0.5
+        with pytest.raises(
+            AdmissionTimeout,
+            match="pair vetting exceeded its admission timeout with 3 "
+            "pairs left",
+        ):
+            registry.admit(chain("T5", db, ["a", "c", "b"], two_phase=True))
+        assert "T5" not in registry
+        assert len(registry.cache) == cached  # the decided pair too
+
+
 class TestIntrospection:
     def test_stats_dict_shape(self, db):
         registry = AdmissionRegistry()
         registry.admit(chain("T1", db, ["a"]))
         payload = registry.stats_dict()
+        assert set(payload) == {"live_transactions", "service", "cache"}
         assert payload["live_transactions"] == 1
         assert payload["service"]["admitted"] == 1
         assert "hit_rate" in payload["cache"]

@@ -285,7 +285,7 @@ class TestVet:
         assert "ADMIT  T1@2" in out and "ADMIT  T2@2" in out
 
     def test_json_payload(self, unsafe_file, capsys):
-        code = main(["vet", unsafe_file, "--json", "--workers", "1"])
+        code = main(["vet", unsafe_file, "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["admitted"] == 1 and payload["rejected"] == 1

@@ -48,7 +48,6 @@ def run_cell(
     fault_plan_name: str = NO_FAULTS,
     seed: int = 0,
     config: ClusterConfig | None = None,
-    vet_cycle_limit: int | None = VET_CYCLE_LIMIT,
 ) -> ArenaCell:
     """Run one cell: generate *spec* under *policy*, drive it through a
     fresh cluster with *fault_plan* injected, condense the report.
@@ -60,7 +59,7 @@ def run_cell(
     config = replace(
         config or ClusterConfig(), seed=derived, fault_plan=fault_plan, **workload.cluster_kwargs()
     )
-    gateway = Gateway(cycle_limit=vet_cycle_limit) if config.vet else None
+    gateway = Gateway(cycle_limit=VET_CYCLE_LIMIT) if config.vet else None
     report = run_sync(workload.system, replace(config, gateway=gateway))
     return ArenaCell.from_report(
         report,
@@ -78,7 +77,6 @@ def run_arena(
     fault_plans: Sequence[tuple[str, FaultPlan | None]] = ((NO_FAULTS, None),),
     seed: int = 0,
     config: ClusterConfig | None = None,
-    vet_cycle_limit: int | None = VET_CYCLE_LIMIT,
 ) -> ArenaReport:
     """Sweep every (policy, spec, fault plan) cell, in deterministic
     iteration order: policies outermost, then workloads, then plans.
@@ -107,7 +105,6 @@ def run_arena(
                         fault_plan_name=plan_name,
                         seed=seed,
                         config=config,
-                        vet_cycle_limit=vet_cycle_limit,
                     )
                 )
     report.wall_seconds = time.perf_counter() - started

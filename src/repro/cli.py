@@ -57,10 +57,10 @@ Subcommands
 
 ``postmortem DIR``
     Render a post-mortem bundle (:mod:`repro.obs.insight`) written by
-    ``cluster run --postmortem DIR`` (or ``REPRO_POSTMORTEM``) when a
-    run ended non-serializable, with a partial commit, or with an
-    incomplete audit: run summary, contention ranking, the
-    flight-recorder tail and any bundled trace files.
+    ``cluster run --postmortem DIR`` when a run ended non-serializable,
+    with a partial commit, or with an incomplete audit: run summary,
+    contention ranking, the flight-recorder tail and any bundled trace
+    files.
 
 ``arena``
     Sweep a policy × workload × fault-plan matrix (:mod:`repro.arena`):
@@ -80,9 +80,9 @@ Subcommands
     are merged by trace id and the report appends the cross-process
     section: causal span trees for the slowest transactions, the
     per-stage wire-latency percentiles, and election annotations.
-    ``--contention`` appends per-entity lock-contention analytics
-    (wait percentiles, queue depth, convoy/starvation flags) derived
-    from ``site.lock_wait`` spans.  Damaged lines (a crash-killed
+    When the records hold ``site.lock_wait`` spans, the report also
+    appends per-entity lock-contention analytics (wait percentiles,
+    queue depth, convoy/starvation flags).  Damaged lines (a crash-killed
     producer leaves a truncated tail) are skipped with a counted
     warning instead of failing the whole report.
 
@@ -490,6 +490,38 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_flags(command: argparse.ArgumentParser) -> None:
+    """The run flags ``cluster run`` and ``arena`` share; read back by
+    :func:`_cluster_config`.  (``--max-retries`` is each command's own:
+    its default differs.)"""
+    command.add_argument(
+        "--transport",
+        choices=("memory", "tcp"),
+        default="memory",
+        help="deterministic in-memory queues (default), or real localhost sockets",
+    )
+    command.add_argument("--seed", type=int, default=0)
+    command.add_argument(
+        "--no-vet",
+        action="store_true",
+        help="skip the static admission gateway",
+    )
+    command.add_argument(
+        "--grant-timeout",
+        type=int,
+        default=None,
+        metavar="TICKS",
+        help="per-site lock-grant timeout (fallback when probes are lost)",
+    )
+    command.add_argument(
+        "--request-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-request round-trip bound (needed under message drops)",
+    )
+
+
 def _cluster_config(args: argparse.Namespace, **knobs):
     """The flags ``cluster run`` and ``arena`` share, plus *knobs*, as
     the one run configuration."""
@@ -497,7 +529,7 @@ def _cluster_config(args: argparse.Namespace, **knobs):
 
     return ClusterConfig(
         transport=args.transport,
-        deadlock_policy=args.deadlock_policy or "abort-youngest",
+        deadlock_policy=args.deadlock_policy,
         max_retries=args.max_retries,
         seed=args.seed,
         vet=not args.no_vet,
@@ -621,6 +653,21 @@ def cmd_arena(args: argparse.Namespace) -> int:
     return 0 if report.all_ok else 1
 
 
+def _peer_addresses(specs: list[str] | None) -> dict[int, tuple[str, int]] | None:
+    """``--peer ADDR=HOST:PORT`` flags as an address map; ``None``,
+    after saying why, when one is malformed."""
+    addresses: dict[int, tuple[str, int]] = {}
+    for spec in specs or ():
+        site_text, _, host_port = spec.partition("=")
+        host, _, port_text = host_port.rpartition(":")
+        try:
+            addresses[int(site_text)] = (host, int(port_text))
+        except ValueError:
+            log.error(f"error: bad --peer {spec!r} (want ADDR=HOST:PORT)")
+            return None
+    return addresses
+
+
 def cmd_cluster_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -634,15 +681,9 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         )
         return 2
 
-    addresses: dict[int, tuple[str, int]] = {}
-    for spec in args.peer or ():
-        site_text, _, host_port = spec.partition("=")
-        host, _, port_text = host_port.rpartition(":")
-        try:
-            addresses[int(site_text)] = (host, int(port_text))
-        except ValueError:
-            log.error(f"error: bad --peer {spec!r} (want ADDR=HOST:PORT)")
-            return 2
+    addresses = _peer_addresses(args.peer)
+    if addresses is None:
+        return 2
 
     if args.replicas > 1:
         from .replica import replica_address
@@ -671,7 +712,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
                 transport=transport,
                 clock=LogicalClock(),
                 peers=tuple(sorted(addresses)),
-                deadlock_policy=args.deadlock_policy or "abort-youngest",
+                deadlock_policy=args.deadlock_policy,
                 grant_timeout=args.grant_timeout,
                 seed=args.seed,
             )
@@ -680,7 +721,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
                 args.site,
                 transport=transport,
                 peers=tuple(sorted(addresses)),
-                deadlock_policy=args.deadlock_policy or "abort-youngest",
+                deadlock_policy=args.deadlock_policy,
                 grant_timeout=args.grant_timeout,
                 seed=args.seed,
             )
@@ -713,15 +754,9 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     from .cluster import TcpTransport
     from .obs.insight import probe_sites
 
-    addresses: dict[int, tuple[str, int]] = {}
-    for spec in args.peer or ():
-        site_text, _, host_port = spec.partition("=")
-        host, _, port_text = host_port.rpartition(":")
-        try:
-            addresses[int(site_text)] = (host, int(port_text))
-        except ValueError:
-            log.error(f"error: bad --peer {spec!r} (want ADDR=HOST:PORT)")
-            return 2
+    addresses = _peer_addresses(args.peer)
+    if addresses is None:
+        return 2
     if not addresses:
         log.error("error: need at least one --peer ADDR=HOST:PORT to probe")
         return 2
@@ -764,14 +799,6 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log.error(f"error: {exc}")
         return 2
-    if args.contention:
-        from .obs.insight import contention_from_records, render_contention
-        from .obs.report import load_trace
-
-        records: list[dict] = []
-        for path in args.file:
-            records.extend(load_trace(path, strict=False))
-        output += "\n\n" + render_contention(contention_from_records(records))
     log.result(output)
     return 0
 
@@ -955,12 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 2pl)",
     )
     cluster_run.add_argument(
-        "--transport",
-        choices=("memory", "tcp"),
-        default="memory",
-        help="deterministic in-memory queues, or real localhost sockets",
-    )
-    cluster_run.add_argument(
         "--rounds",
         type=int,
         default=1,
@@ -988,26 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="leader lease length in logical clock ticks (default 64; "
         "replicated runs only)",
     )
-    cluster_run.add_argument("--seed", type=int, default=0)
-    cluster_run.add_argument(
-        "--no-vet",
-        action="store_true",
-        help="skip the static admission gateway",
-    )
-    cluster_run.add_argument(
-        "--grant-timeout",
-        type=int,
-        default=None,
-        metavar="TICKS",
-        help="per-site lock-grant timeout (fallback when probes are lost)",
-    )
-    cluster_run.add_argument(
-        "--request-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request round-trip bound (needed under message drops)",
-    )
+    _add_run_flags(cluster_run)
     cluster_run.add_argument(
         "--codec",
         choices=("json", "binary"),
@@ -1041,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a post-mortem bundle (flight ring, report, events, "
         "traces) into DIR when the run ends non-serializable, with a "
         "partial commit, or with an incomplete audit; render it with "
-        "`repro postmortem DIR` (REPRO_POSTMORTEM works too)",
+        "`repro postmortem DIR`",
     )
     cluster_run.add_argument(
         "--no-recorder",
@@ -1079,38 +1081,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan to include, or the literal 'none' for a "
         "fault-free column (repeatable; default: none)",
     )
-    arena.add_argument(
-        "--transport",
-        choices=("memory", "tcp"),
-        default="memory",
-        help="transport for every cell (default memory: deterministic "
-        "fingerprints per cell)",
-    )
-    arena.add_argument("--seed", type=int, default=0)
+    _add_run_flags(arena)
     arena.add_argument(
         "--max-retries",
         type=int,
         default=5,
         help="abort-and-retry budget per transaction (default 5)",
-    )
-    arena.add_argument(
-        "--grant-timeout",
-        type=int,
-        default=None,
-        metavar="TICKS",
-        help="per-site lock-grant timeout for every cell",
-    )
-    arena.add_argument(
-        "--request-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request round-trip bound for every cell",
-    )
-    arena.add_argument(
-        "--no-vet",
-        action="store_true",
-        help="skip the admission gateway in every cell",
     )
     arena.add_argument("--json", action="store_true")
     arena.add_argument(
@@ -1211,13 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="show only the top N spans by self time",
-    )
-    trace_report.add_argument(
-        "--contention",
-        action="store_true",
-        help="append per-entity lock-contention analytics (wait "
-        "percentiles, queue depth, convoy/starvation flags) derived "
-        "from site.lock_wait spans",
     )
     trace_report.set_defaults(func=cmd_trace_report)
 

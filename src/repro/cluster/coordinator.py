@@ -21,8 +21,9 @@ which the E15 stage decomposition shows dominate cluster latency.
 A reply of ``deadlock`` (a probe cycle chose this transaction as
 victim), ``timeout`` (a site's lock-grant timer fired) or ``aborted``
 (a racing release) makes the attempt fail: the coordinator sends
-``release`` to every involved site, backs off exponentially with
-seeded jitter on the transport's tick clock, and retries up to
+``release`` to every involved site, backs off on the transport's tick
+clock (:func:`repro.faults.policies.backoff_ticks`, the simulator's
+schedule), and retries up to
 *max_retries* times before reporting ``retry-exhausted``.  On success
 it sends ``commit`` everywhere, which is what promotes the
 transaction's tentative updates into the committed site orders.
@@ -36,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.transaction import Transaction
+from ..faults.policies import backoff_ticks
 from ..obs import distributed
 from ..obs.metrics import REGISTRY
 from . import protocol
@@ -292,6 +294,9 @@ class SiteClientPool:
 class Coordinator:
     """Executes one transaction's poset against the cluster."""
 
+    #: Re-resolve-and-replay tries per request on the resolver path.
+    FAILOVER_ATTEMPTS = 4
+
     def __init__(
         self,
         transaction: Transaction,
@@ -299,14 +304,11 @@ class Coordinator:
         transport: Transport,
         age: int = 0,
         max_retries: int = 3,
-        backoff_base: int = 1,
-        backoff_jitter: int = 2,
         request_timeout: float | None = None,
         seed: int = 0,
         on_send=None,
         on_ack=None,
         resolver=None,
-        failover_attempts: int = 4,
         codec: protocol.WireCodec = protocol.JSON_CODEC,
         batch: bool = False,
         pool: SiteClientPool | None = None,
@@ -315,8 +317,6 @@ class Coordinator:
         self.transport = transport
         self.age = age
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_jitter = backoff_jitter
         self.request_timeout = request_timeout
         self.rng = random.Random(f"{seed}/{transaction.name}")
         self.on_send = on_send
@@ -325,7 +325,6 @@ class Coordinator:
         #: when set, requests route to the site's current lease leader
         #: and a failed request re-resolves and replays idempotently.
         self.resolver = resolver
-        self.failover_attempts = failover_attempts
         #: Codec offered to each site at connection time.
         self.codec = codec
         #: Ship all currently-eligible same-site steps in one frame.
@@ -353,36 +352,6 @@ class Coordinator:
         self._touched_sites: set[int] = set()
         #: Root span of the distributed trace (``None`` untraced).
         self._root = None
-        #: Live-introspection state (:meth:`snapshot`): which attempt
-        #: is running, which phase it is in, and which step indices
-        #: have been acknowledged so far.
-        self._phase = "idle"
-        self._attempt_no = 0
-        self._acked_steps: set[int] = set()
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The coordinator's current in-flight view, for ``status``.
-
-        Safe to call from another task at any time: it reads only
-        plain attributes the execution loop keeps current, never
-        awaits, and never touches connections.
-        """
-        acked = sorted(self._acked_steps)
-        pending = [i for i in range(len(self._steps)) if i not in self._acked_steps]
-        return {
-            "transaction": self.transaction.name,
-            "age": self.age,
-            "attempt": self._attempt_no,
-            "phase": self._phase,
-            "acked_steps": [self._describe(i) for i in acked],
-            "pending_steps": [self._describe(i) for i in pending],
-            "sites": sorted(set(self._step_sites)),
-        }
-
-    def _describe(self, index: int) -> str:
-        step = self._steps[index]
-        return f"{self._kind_of(step)} {step.entity}@{self._step_sites[index]}"
 
     # ------------------------------------------------------------------
     async def run(self) -> TxnOutcome:
@@ -411,11 +380,8 @@ class Coordinator:
         sites = sorted(set(self._step_sites))
         try:
             for attempt in range(self.max_retries + 1):
-                self._attempt_no = attempt
-                self._phase = "acquire"
                 failure = await self._attempt()
                 if failure is None:
-                    self._phase = "commit"
                     unacked = await self._commit()
                     if unacked:
                         _outcomes_counter().labels(outcome="partial-commit").inc()
@@ -429,11 +395,9 @@ class Coordinator:
                         )
                     _outcomes_counter().labels(outcome="committed").inc()
                     return TxnOutcome(name, "committed", retries=attempt, sites=sites)
-                self._phase = "abort"
                 await self._abort()
                 if attempt < self.max_retries:
-                    self._phase = "backoff"
-                    await self._backoff(attempt)
+                    await self.transport.sleep(backoff_ticks(attempt, self.rng))
             _outcomes_counter().labels(outcome="retry-exhausted").inc()
             return TxnOutcome(
                 name,
@@ -454,7 +418,6 @@ class Coordinator:
             _outcomes_counter().labels(outcome="error").inc()
             return TxnOutcome(name, "error", sites=sites, detail=str(exc))
         finally:
-            self._phase = "done"
             await self._close()
 
     # ------------------------------------------------------------------
@@ -514,9 +477,7 @@ class Coordinator:
         tx = self.transaction
         steps = self._steps
         preds = self._step_preds
-        # The live set doubles as the :meth:`snapshot` ack view.
-        self._acked_steps.clear()
-        acked = self._acked_steps
+        acked: set[int] = set()
         in_flight: dict[asyncio.Task, int] = {}
         failure: str | None = None
         try:
@@ -650,7 +611,7 @@ class Coordinator:
             # Connection-independent idempotency key: a step replayed
             # against a new leader after failover must not double-apply.
             fields["step"] = index
-        attempts = self.failover_attempts if self.resolver is not None else 0
+        attempts = self.FAILOVER_ATTEMPTS if self.resolver is not None else 0
         status = "error"
         self._touched_sites.add(site)
         with distributed.child_span("txn.step", self._root) as span:
@@ -752,7 +713,7 @@ class Coordinator:
 
     async def _commit_site(self, site: int) -> bool:
         attempts = self.COMMIT_ATTEMPTS + (
-            self.failover_attempts if self.resolver is not None else 0
+            self.FAILOVER_ATTEMPTS if self.resolver is not None else 0
         )
         for _ in range(attempts):
             try:
@@ -772,10 +733,6 @@ class Coordinator:
             if await self._should_failover(site, status or "error"):
                 await self._failover(site, leader_hint=reply.get("leader"))
         return False
-
-    async def _backoff(self, attempt: int) -> None:
-        ticks = self.backoff_base * (2**attempt) + self.rng.randrange(self.backoff_jitter + 1)
-        await self.transport.sleep(ticks)
 
     async def _close(self) -> None:
         for client in self._clients.values():

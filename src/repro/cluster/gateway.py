@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from ..core.safety import SafetyVerdict
 from ..core.schedule import TransactionSystem
 from ..errors import VettingBudgetError
-from ..service.cache import VerdictCache
 from ..service.registry import AdmissionDecision, AdmissionRegistry
 
 
@@ -55,16 +54,8 @@ class GatewayDecision:
 class Gateway:
     """Static admission in front of the cluster runtime."""
 
-    def __init__(
-        self,
-        *,
-        cache_size: int = 65536,
-        cycle_limit: int | None = None,
-    ) -> None:
-        self.registry = AdmissionRegistry(
-            cache=VerdictCache(cache_size),
-            cycle_limit=cycle_limit,
-        )
+    def __init__(self, *, cycle_limit: int | None = None) -> None:
+        self.registry = AdmissionRegistry(cycle_limit=cycle_limit)
 
     def vet(self, system: TransactionSystem) -> GatewayDecision:
         """Vet *system*'s transactions; the mode is ``"vetted-safe"``

@@ -68,18 +68,15 @@ REQUEST_KINDS = (
     "batch",
     "history",
     "ping",
-    "shutdown",
     # Replication kinds (:mod:`repro.replica`): leader discovery,
     # lease-epoch votes, log shipping, and new-leader catch-up.
     "leader",
     "vote",
     "replicate",
     "fetch_log",
-    # Introspection kinds (:mod:`repro.obs.insight`): a live snapshot
-    # of one site's lock table / wait-for edges / replica lease state,
-    # and a deep view of one entity or transaction.
+    # Introspection (:mod:`repro.obs.insight`): a live snapshot of one
+    # site's lock table / wait-for edges / replica lease state.
     "status",
-    "inspect",
 )
 
 #: Site-to-site kinds (fire-and-forget, no id, no reply).

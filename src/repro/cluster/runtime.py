@@ -23,7 +23,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -272,19 +271,16 @@ class ClusterConfig:
     creates a fresh bounded ring for the run, ``False`` disables it,
     and an instance is used as-is so the caller can inspect the ring
     afterwards.  When the run ends badly (non-serializable,
-    partial-commit, or an incomplete audit) and *postmortem_dir* — or
-    the ``REPRO_POSTMORTEM`` environment variable — names a directory,
-    a post-mortem bundle (ring, report, recent events, trace files,
-    this configuration) is written there and recorded in
-    :attr:`ClusterReport.postmortem`; with neither, nothing is written.
+    partial-commit, or an incomplete audit) and *postmortem_dir* names
+    a directory, a post-mortem bundle (ring, report, recent events,
+    trace files, this configuration) is written there and recorded in
+    :attr:`ClusterReport.postmortem`; without it, nothing is written.
 
     *replicas* picks the topology: ``None`` boots one plain
     :class:`~repro.cluster.siteserver.SiteServer` per site; a count
     makes every site a :class:`~repro.replica.group.ReplicaGroup` of
     that many replicas (``1`` still builds a one-replica group) with
-    *lease_ticks* leases and the wall-clock *election_timeout* /
-    *replication_timeout* bounding one vote or ship round trip against
-    a dead replica.
+    *lease_ticks* leases.
     """
 
     transport: str | Transport = "memory"
@@ -308,8 +304,6 @@ class ClusterConfig:
     postmortem_dir: str | None = None
     replicas: int | None = None
     lease_ticks: int = 64
-    election_timeout: float = 0.25
-    replication_timeout: float = 0.5
 
     def validate(self, system: TransactionSystem) -> None:
         """Raise unless this configuration can run *system*.  The
@@ -598,12 +592,11 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
         for server in topology.servers:
             tally.merge(server.insight)
         report.contention = tally.rows(limit=16)
-        destination = config.postmortem_dir or os.environ.get("REPRO_POSTMORTEM")
         reason = postmortem_reason(report)
-        if destination and reason is not None:
+        if config.postmortem_dir and reason is not None:
             active_trace = trace.trace_path()
             report.postmortem = dump_postmortem(
-                destination,
+                config.postmortem_dir,
                 report=report,
                 recorder=ring,
                 event_log=event_log,

@@ -222,7 +222,6 @@ class SiteServer:
         "replicate",
         "fetch_log",
         "status",
-        "inspect",
     )
 
     def _tick(self) -> None:
@@ -665,39 +664,6 @@ class SiteServer:
             connection,
             protocol.reply(message["id"], "status", **self._status_payload()),
         )
-
-    async def _on_inspect(self, connection: Connection, message: dict) -> None:
-        """Deep view of one entity and/or one transaction."""
-        payload: dict = {"site": self.site}
-        entity = message.get("entity")
-        if entity is not None:
-            payload["entity"] = {
-                "name": entity,
-                "holder": self.locks.holder(entity),
-                "waiters": list(self.locks.waiters(entity)),
-                "updates": list(self._updates.get(entity, ())),
-                "contention": next(
-                    (row for row in self.insight.rows() if row["entity"] == entity),
-                    None,
-                ),
-            }
-        txn = message.get("txn")
-        if txn is not None:
-            payload["txn"] = {
-                "name": txn,
-                "age": self._ages.get(txn),
-                "holds": sorted(self.locks.held_by(txn)),
-                "waiting": sorted(self._waiting_entities(txn)),
-                "committed": txn in self._committed,
-            }
-        await self._safe_send(
-            connection,
-            protocol.reply(message["id"], "inspect", **payload),
-        )
-
-    async def _on_shutdown(self, connection: Connection, message: dict) -> None:
-        await self._safe_send(connection, protocol.reply(message["id"], "stopping"))
-        await self.stop()
 
     # ------------------------------------------------------------------
     # Grants, promotion, timeouts

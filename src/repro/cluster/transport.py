@@ -50,6 +50,9 @@ from ..errors import ReproError
 from ..obs import distributed
 from . import protocol
 
+#: Wall-clock length of one :class:`TcpTransport` tick.
+TICK_SECONDS = 0.001
+
 
 class TransportError(ReproError):
     """A connection to a site could not be made or has gone away."""
@@ -398,21 +401,15 @@ class TcpTransport(Transport):
     map are assigned ``127.0.0.1`` with an ephemeral port at
     :meth:`listen` time, and the chosen port is published back into
     ``self.addresses`` — the in-process benchmark cluster relies on
-    this.  One tick of :meth:`sleep` is ``tick_seconds`` (default 1ms).
+    this.  One tick of :meth:`sleep` is :data:`TICK_SECONDS`.
     :meth:`close` stops listening, closes every connection it accepted
     and waits for their handlers.
     """
 
     deterministic = False
 
-    def __init__(
-        self,
-        addresses: dict[int, tuple[str, int]] | None = None,
-        *,
-        tick_seconds: float = 0.001,
-    ) -> None:
+    def __init__(self, addresses: dict[int, tuple[str, int]] | None = None) -> None:
         self.addresses: dict[int, tuple[str, int]] = dict(addresses or {})
-        self.tick_seconds = tick_seconds
         self._servers: list[asyncio.base_events.Server] = []
         #: Handler task -> the accepted connection it serves.
         self._accepted: dict[asyncio.Task, Connection] = {}
@@ -459,7 +456,7 @@ class TcpTransport(Transport):
         return frames.connection
 
     async def sleep(self, ticks: int) -> None:
-        await asyncio.sleep(max(1, ticks) * self.tick_seconds)
+        await asyncio.sleep(max(1, ticks) * TICK_SECONDS)
 
     async def close(self) -> None:
         servers, self._servers = self._servers, []

@@ -12,7 +12,8 @@ terminating the run.  Everything is seeded and replays byte-for-byte.
   (JSON-round-trippable) and :func:`random_plan`;
 * :mod:`repro.faults.injector` — per-run plan state the engine
   consults;
-* :mod:`repro.faults.policies` — deadlock-resolution victim selection;
+* :mod:`repro.faults.policies` — deadlock-resolution victim selection
+  and the abort backoff;
 * :mod:`repro.faults.chaos` — seed sweeps with aggregate
   completion/abort/retry statistics.
 """

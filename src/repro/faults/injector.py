@@ -52,10 +52,6 @@ class FaultInjector:
         """Is *site* currently crashed?"""
         return site in self._down
 
-    def down_sites(self) -> list[int]:
-        """The currently crashed sites, sorted."""
-        return sorted(self._down)
-
     def grant_delayed(self, entity: str, site: int, clock: int) -> bool:
         """Is a lock grant on *entity* at *site* withheld at *clock*?
         The first withheld grant per delay entry counts as an injected

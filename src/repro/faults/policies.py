@@ -15,6 +15,10 @@ way).
 * ``wound-wait`` — the oldest waiter in the cycle *wounds* the member
   it waits for, Rosenkrantz-style, applied here at detection time
   rather than at every conflict.
+
+After the victim rolls back, :func:`backoff_ticks` says how long it
+waits before its next attempt; the simulator and the cluster
+coordinator share it.
 """
 
 from __future__ import annotations
@@ -61,3 +65,10 @@ def choose_victim(
         oldest = min(cycle, key=lambda name: (ages.get(name, -1), name))
         return cycle[(cycle.index(oldest) + 1) % len(cycle)]
     raise FaultPlanError(f"unknown deadlock policy {policy!r} (choose from {POLICIES})")
+
+
+def backoff_ticks(attempt: int, rng: random.Random) -> int:
+    """Logical ticks a victim waits after its *attempt*-th abort
+    (0-based): ``2**attempt`` plus a jitter of 0, 1 or 2 drawn from
+    *rng*, exactly one draw per abort."""
+    return 2**attempt + rng.randrange(3)

@@ -28,7 +28,7 @@ one verbosity-aware helper (with a JSON-lines formatter option), and
 
 :mod:`~repro.obs.insight` is the always-on tier: a bounded
 flight-recorder ring dumped as a post-mortem bundle when a run ends
-badly, the ``status``/``inspect`` introspection plane with global
+badly, the ``status`` introspection plane with global
 wait-for stitching, and per-entity contention analytics.
 """
 

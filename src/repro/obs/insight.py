@@ -19,10 +19,10 @@ bit-deterministic ring.  A frame's ``bytes`` is its size as shipped:
 the unstamped size, unless wire metrics or tracing made the frame carry
 a ``wire`` stamp.
 
-**Status plane.**  Site servers answer ``status`` / ``inspect``
-protocol requests with their live lock table (holders, FIFO wait
-queues, grant-timer deadlines) and local wait-for edges; replicas add
-lease/epoch/log state.  :func:`wait_for_graph` stitches the per-site
+**Status plane.**  Site servers answer ``status`` protocol requests
+with their live lock table (holders, FIFO wait queues, grant-timer
+deadlines) and local wait-for edges; replicas add lease/epoch/log
+state.  :func:`wait_for_graph` stitches the per-site
 edges into the global wait-for digraph (:class:`repro.graphs.DiGraph`)
 and :func:`deadlock_cycles` enumerates its cycles — external deadlock
 detection that cross-checks the runtime's edge-chasing probes from
@@ -35,9 +35,9 @@ per-entity counters inside every site server (grants, waits, queue
 depths, wait-time samples); :func:`contention_from_records` derives
 the same ranking from merged ``site.lock_wait`` trace spans, plus
 convoy and starvation detection.  Both surface through
-:func:`render_contention`, ``repro trace-report --contention``,
-``ClusterReport.contention`` and each arena cell's hottest keys —
-the per-entity heat the ROADMAP's sharding work needs.
+:func:`render_contention`, ``repro trace-report`` (whenever the trace
+holds lock waits), ``ClusterReport.contention`` and each arena cell's
+hottest keys — the per-entity heat the ROADMAP's sharding work needs.
 """
 
 from __future__ import annotations
@@ -439,13 +439,8 @@ def deadlock_cycles(
 class ClusterStatus:
     """One assembled snapshot of a live cluster."""
 
-    def __init__(
-        self,
-        sites: list[dict[str, Any]],
-        coordinators: list[dict[str, Any]] | None = None,
-    ) -> None:
+    def __init__(self, sites: list[dict[str, Any]]) -> None:
         self.sites = list(sites)
-        self.coordinators = list(coordinators or [])
 
     @property
     def errors(self) -> list[dict[str, Any]]:
@@ -465,7 +460,6 @@ class ClusterStatus:
         graph = self.graph
         return {
             "sites": self.sites,
-            "coordinators": self.coordinators,
             "wait_for": [[tail, head] for tail, head in graph.arcs()],
             "cycles": self.cycles,
         }
@@ -518,13 +512,6 @@ class ClusterStatus:
                     for row in rows[:3]
                 )
                 lines.append(f"  hot: {hot}")
-        for coordinator in self.coordinators:
-            lines.append(
-                f"coordinator {coordinator.get('transaction')}  "
-                f"phase={coordinator.get('phase')} "
-                f"attempt={coordinator.get('attempt')} "
-                f"pending={','.join(coordinator.get('pending_steps', [])) or '-'}"
-            )
         graph = self.graph
         arcs = graph.arcs()
         lines.append(

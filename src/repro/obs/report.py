@@ -13,7 +13,9 @@ When the records carry distributed-trace fields
 cross-process parent links), :func:`summarize_files` appends the
 distributed section: the slowest transactions rendered as causal span
 trees, a per-stage wire-latency percentile table, and
-election/failover annotations from ``replica.*`` spans.
+election/failover annotations from ``replica.*`` spans.  When the
+records hold ``site.lock_wait`` spans it appends the per-entity
+contention section (:func:`repro.obs.insight.contention_from_records`).
 """
 
 from __future__ import annotations
@@ -244,17 +246,14 @@ def summarize_files(
 ) -> str:
     """Merge one trace file per process, aggregate, and render — with
     the distributed section appended when the trace carries
-    cross-process records."""
-    records: list[dict[str, Any]] = []
+    cross-process records, and the contention section when it holds
+    ``site.lock_wait`` spans."""
+    from . import distributed, insight
+
     skipped: list[str] = []
-    for path in paths:
-        records.extend(
-            load_trace(
-                path,
-                strict=False,
-                on_skip=lambda p, n, why: skipped.append(f"{p}:{n}: {why}"),
-            )
-        )
+    records = distributed.merge_traces(
+        paths, on_skip=lambda p, n, why: skipped.append(f"{p}:{n}: {why}")
+    )
     if skipped and not records:
         # Damaged lines inside a real trace are survivable; a file (or
         # set) with *nothing but* damage is not a trace at all.
@@ -276,4 +275,6 @@ def summarize_files(
     section = render_distributed(records, trees=trees)
     if section is not None:
         output += "\n\n" + section
+    if any(record["span"] == insight.LOCK_WAIT_SPAN for record in records):
+        output += "\n\n" + insight.render_contention(insight.contention_from_records(records))
     return output

@@ -22,22 +22,21 @@ import asyncio
 
 from ..cluster import protocol
 from ..cluster.transport import Transport, TransportError
+from .server import ELECTION_TIMEOUT
+
+#: Wall-clock bound on one ``leader`` query.  A queried follower may
+#: campaign before answering, and one campaign waits up to an election
+#: timeout on a dead peer's vote: leave comfortable headroom over that.
+QUERY_TIMEOUT = 3 * ELECTION_TIMEOUT
 
 
 class LeaderResolver:
     """Cached site -> leader-address lookup over ``leader`` queries."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        addresses: dict[int, tuple[int, ...]],
-        *,
-        query_timeout: float = 0.25,
-    ) -> None:
+    def __init__(self, transport: Transport, addresses: dict[int, tuple[int, ...]]) -> None:
         self.transport = transport
         #: Logical site -> every replica address of its group.
         self.addresses = {site: tuple(addrs) for site, addrs in addresses.items()}
-        self.query_timeout = query_timeout
         self._cache: dict[int, int] = {}
         self._suspect: dict[int, int] = {}
         self._offset: dict[int, int] = {}
@@ -98,7 +97,7 @@ class LeaderResolver:
         try:
             fields = {"suspect": suspect} if suspect is not None else {}
             await connection.send(protocol.request("leader", 1, **fields))
-            return await asyncio.wait_for(connection.recv(), self.query_timeout)
+            return await asyncio.wait_for(connection.recv(), QUERY_TIMEOUT)
         except (asyncio.TimeoutError, TransportError):
             return None
         finally:

@@ -111,20 +111,13 @@ class ReplicaTopology(Topology):
                 index,
                 clock=self.clock,
                 peers=addresses,
-                election_timeout=config.election_timeout,
-                replication_timeout=config.replication_timeout,
                 **self.server_knobs(),
             )
             for group in self.groups
             for index in range(config.replicas)
         ]
-        # A queried follower may campaign before answering, and one
-        # campaign waits up to election_timeout on a dead peer's vote:
-        # give leader queries comfortable headroom over that.
         self.resolver = LeaderResolver(
-            transport,
-            {group.site: group.addresses for group in self.groups},
-            query_timeout=config.election_timeout * 3,
+            transport, {group.site: group.addresses for group in self.groups}
         )
         self.routing = {"resolver": self.resolver}
 

@@ -53,6 +53,12 @@ LEADER_ONLY_KINDS = ("lock", "unlock", "update", "release", "commit", "batch")
 #: Records per ``fetch_log`` reply (bounds catch-up frame sizes).
 FETCH_LIMIT = 5000
 
+#: Default wall-clock bound on one vote round trip to a peer.
+ELECTION_TIMEOUT = 0.25
+
+#: Wall-clock bound on one ship or ``fetch_log`` round trip to a peer.
+REPLICATION_TIMEOUT = 0.5
+
 
 class ReplicaServer(SiteServer):
     """One member of a :class:`~repro.replica.group.ReplicaGroup`."""
@@ -70,8 +76,7 @@ class ReplicaServer(SiteServer):
         faults: ReplicaFaultAdapter | None = None,
         event_log: EventLog | None = None,
         seed: int = 0,
-        election_timeout: float = 0.25,
-        replication_timeout: float = 0.5,
+        election_timeout: float = ELECTION_TIMEOUT,
     ) -> None:
         super().__init__(
             group.addresses[index],
@@ -89,7 +94,6 @@ class ReplicaServer(SiteServer):
         self.clock = clock
         self.log = ReplicationLog()
         self.election_timeout = election_timeout
-        self.replication_timeout = replication_timeout
         #: Replica 0 boots as leader of epoch 1; everyone agrees.
         self.role = "leader" if index == 0 else "follower"
         self.epoch = 1
@@ -240,7 +244,7 @@ class ReplicaServer(SiteServer):
                 fields["trace"] = self._trace_ctx
             reply = await client.request(
                 "replicate",
-                timeout=self.replication_timeout,
+                timeout=REPLICATION_TIMEOUT,
                 **fields,
             )
         except TransportError:
@@ -480,7 +484,7 @@ class ReplicaServer(SiteServer):
             reply = await self._one_shot(
                 address,
                 "fetch_log",
-                timeout=self.replication_timeout,
+                timeout=REPLICATION_TIMEOUT,
                 since=self.log.seq,
             )
             if reply is None:

@@ -140,8 +140,8 @@ class SimulationEngine:
     and recovery layer (:mod:`repro.faults`); with both unset the
     engine behaves exactly as it always has.  *max_retries* bounds the
     abort-and-requeue budget per transaction; backoff after an abort is
-    ``backoff_base * 2**attempt`` logical ticks plus a jitter drawn
-    from ``random.Random(fault_seed)``.
+    :func:`repro.faults.policies.backoff_ticks`, its jitter drawn from
+    ``random.Random(fault_seed)``.
     """
 
     def __init__(
@@ -153,8 +153,6 @@ class SimulationEngine:
         fault_plan=None,
         deadlock_policy: str | None = None,
         max_retries: int = 3,
-        backoff_base: int = 1,
-        backoff_jitter: int = 2,
         fault_seed: int = 0,
     ) -> None:
         """With an *event_log*, the run's lock grants/blocks/releases,
@@ -183,8 +181,6 @@ class SimulationEngine:
 
         self.deadlock_policy = validate_policy(deadlock_policy)
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_jitter = backoff_jitter
         if fault_plan is not None:
             fault_plan.validate_against(system)
             self._injector = FaultInjector(fault_plan)
@@ -373,6 +369,8 @@ class SimulationEngine:
         executed steps from the history — and requeue it after an
         exponential backoff with jitter.  Returns ``False`` (without
         rolling back) when its retry budget is exhausted."""
+        from ..faults.policies import backoff_ticks
+
         attempt = self._retries.get(name, 0)
         if attempt >= self.max_retries:
             return False
@@ -390,17 +388,15 @@ class SimulationEngine:
             entry for entry in self._blocked_seen if entry[0] != name
         }
         self._retries[name] = attempt + 1
-        backoff = self.backoff_base * (2**attempt)
-        if self.backoff_jitter > 0:
-            backoff += self._fault_rng.randrange(self.backoff_jitter + 1)
-        self._down_until[name] = self._clock + max(1, backoff)
+        backoff = backoff_ticks(attempt, self._fault_rng)
+        self._down_until[name] = self._clock + backoff
         self._abort_clock[name] = self._clock
         _retries_counter().labels(scope="sim").inc()
         if self.event_log is not None:
             self.event_log.emit(
                 "abort",
                 transaction=name,
-                detail=f"{reason}; backoff {max(1, backoff)}",
+                detail=f"{reason}; backoff {backoff}",
             )
         return True
 

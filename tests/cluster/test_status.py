@@ -1,15 +1,12 @@
-"""The introspection plane: ``status`` / ``inspect`` requests, probe
-stitching, and external deadlock detection."""
+"""The introspection plane: ``status`` requests, probe stitching, and
+external deadlock detection."""
 
 import asyncio
 
 from repro.cluster import protocol
-from repro.cluster.coordinator import Coordinator
 from repro.cluster.siteserver import SiteServer
 from repro.cluster.transport import MemoryTransport
 from repro.obs.insight import deadlock_cycles, probe_site, probe_sites
-
-from .conftest import chain_tx
 
 
 def run(coro):
@@ -95,26 +92,6 @@ class TestStatusRequest:
         assert [reply["status"] for reply in replies] == ["status"] * 20
         assert rounds > 0, "the load connection never got a turn"
 
-    def test_inspect_entity_and_txn(self):
-        async def scenario():
-            transport = MemoryTransport()
-            server = SiteServer(1, transport=transport)
-            await server.start()
-            a = await transport.connect(1)
-            probe = await transport.connect(1)
-            await _rpc(a, "lock", 1, txn="T1", entity="x", age=0)
-            await _rpc(a, "update", 2, txn="T1", entity="x")
-            entity_view = await _rpc(probe, "inspect", 1, entity="x")
-            txn_view = await _rpc(probe, "inspect", 2, txn="T1")
-            await transport.close()
-            return entity_view, txn_view
-
-        entity_view, txn_view = run(scenario())
-        assert entity_view["entity"]["holder"] == "T1"
-        assert entity_view["entity"]["updates"] == ["T1"]
-        assert txn_view["txn"]["holds"] == ["x"]
-        assert txn_view["txn"]["waiting"] == []
-
     def test_status_stays_off_the_event_timeline(self):
         # QUIET_KINDS: monitoring probes are plumbing, not workload —
         # they must not pollute the replayable event timeline.
@@ -127,7 +104,6 @@ class TestStatusRequest:
             await server.start()
             probe = await transport.connect(1)
             await _rpc(probe, "status", 1)
-            await _rpc(probe, "inspect", 2, entity="x")
             await transport.close()
             return event_log
 
@@ -244,36 +220,3 @@ class TestReplicaStatus:
         assert follower_status["role"] == "follower"
         assert follower_status["leader"] == leader_status["address"]
         assert follower_status["status"] == "status"
-
-
-class TestCoordinatorSnapshot:
-    def test_snapshot_names_pending_steps(self, two_site_db):
-        tx = chain_tx("T1", two_site_db, ["x", "y"])
-        coordinator = Coordinator(tx, transport=MemoryTransport(), age=3)
-        snap = coordinator.snapshot()
-        assert snap["transaction"] == "T1"
-        assert snap["age"] == 3
-        assert snap["phase"] == "idle"
-        assert snap["acked_steps"] == []
-        assert "lock x@1" in snap["pending_steps"]
-        assert snap["sites"] == [1, 2]
-
-    def test_snapshot_after_run_is_done(self, two_site_db):
-        async def scenario():
-            transport = MemoryTransport()
-            server1 = SiteServer(1, transport=transport, peers=(1, 2))
-            server2 = SiteServer(2, transport=transport, peers=(1, 2))
-            await server1.start()
-            await server2.start()
-            tx = chain_tx("T1", two_site_db, ["x", "y"])
-            coordinator = Coordinator(tx, transport=transport)
-            outcome = await coordinator.run()
-            await transport.close()
-            return coordinator, outcome
-
-        coordinator, outcome = run(scenario())
-        assert outcome.committed
-        snap = coordinator.snapshot()
-        assert snap["phase"] == "done"
-        assert snap["pending_steps"] == []
-        assert len(snap["acked_steps"]) == len(coordinator.transaction.steps)

@@ -266,6 +266,7 @@ class TestWaitForStitching:
         assert "lock x: holder=T1" in text
         assert len(status.errors) == 1
         payload = status.to_dict()
+        assert set(payload) == {"sites", "wait_for", "cycles"}
         assert payload["cycles"]
 
 

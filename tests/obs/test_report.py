@@ -187,3 +187,40 @@ class TestLenientLoading:
         )
         assert len(records) == 1
         assert len(skips) == 1
+
+
+def _lock_wait(entity, txn, start_ns, dur_ns, span_id):
+    return {
+        "span": "site.lock_wait", "id": span_id, "pid": 1,
+        "start_ns": start_ns, "dur_ns": dur_ns,
+        "attrs": {"entity": entity, "txn": txn, "site": 1},
+    }
+
+
+class TestContentionSection:
+    def test_trace_with_lock_waits_renders_the_section(self, tmp_path):
+        path = write_trace(
+            tmp_path / "t.jsonl",
+            [
+                _lock_wait("x", "T1", 0, 100, 1),
+                _lock_wait("x", "T2", 10, 100, 2),
+                {"span": "cluster.run", "id": 3, "pid": 1, "start_ns": 0, "dur_ns": 500},
+            ],
+        )
+        text = summarize(path)
+        assert "contention: 1 contended entit(ies)" in text
+        assert text.index("contention:") > text.index("cluster.run")
+
+    def test_trace_without_lock_waits_has_no_section(self, tmp_path):
+        path = write_trace(
+            tmp_path / "t.jsonl",
+            [{"span": "cluster.run", "id": 1, "pid": 1, "start_ns": 0, "dur_ns": 500}],
+        )
+        assert "contention" not in summarize(path)
+
+    def test_skip_warning_survives_alongside_the_section(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(_lock_wait("x", "T1", 0, 100, 1)) + "\n{truncated")
+        text = summarize(str(path))
+        assert "warning: skipped 1 malformed line(s)" in text
+        assert "contention: 1 contended entit(ies)" in text

@@ -58,9 +58,10 @@ Subcommands
 ``postmortem DIR``
     Render a post-mortem bundle (:mod:`repro.obs.insight`) written by
     ``cluster run --postmortem DIR`` when a run ended non-serializable,
-    with a partial commit, or with an incomplete audit: run summary,
-    contention ranking, the flight-recorder tail and any bundled trace
-    files.
+    with a partial commit, with an incomplete audit or with a
+    transaction uncommitted — exactly when ``cluster run`` exits 1: run
+    summary, contention ranking, the tail of the run's event timeline
+    and any bundled trace files.
 
 ``arena``
     Sweep a policy × workload × fault-plan matrix (:mod:`repro.arena`):
@@ -542,6 +543,7 @@ def _cluster_config(args: argparse.Namespace, **knobs):
 def cmd_cluster_run(args: argparse.Namespace) -> int:
     from .cluster import ClusterError, run_sync
     from .obs.events import EventLog
+    from .obs.insight import postmortem_reason
 
     traffic = {"rounds": args.rounds, "concurrency": args.concurrency}
     if args.workload is not None:
@@ -587,7 +589,6 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
             wire_metrics=args.metrics,
             codec=args.codec,
             batch=args.batch,
-            recorder=not args.no_recorder,
             postmortem_dir=args.postmortem,
             replicas=args.replicas if args.replicas > 1 else None,
             lease_ticks=args.lease_ticks,
@@ -602,12 +603,7 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
         log.result()
         for event in event_log:
             log.result(str(event))
-    ok = (
-        report.serializable
-        and report.audit_complete
-        and report.committed == report.transactions
-    )
-    return 0 if ok else 1
+    return 0 if postmortem_reason(report) is None else 1
 
 
 def cmd_arena(args: argparse.Namespace) -> int:
@@ -1040,15 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--postmortem",
         metavar="DIR",
         default=None,
-        help="write a post-mortem bundle (flight ring, report, events, "
-        "traces) into DIR when the run ends non-serializable, with a "
-        "partial commit, or with an incomplete audit; render it with "
-        "`repro postmortem DIR`",
-    )
-    cluster_run.add_argument(
-        "--no-recorder",
-        action="store_true",
-        help="disable the always-on flight recorder for this run",
+        help="record the run's recent event timeline and, when the run "
+        "ends non-serializable, with a partial commit, with an incomplete "
+        "audit or with a transaction uncommitted (exit 1), write a "
+        "post-mortem bundle (report, events, traces) into DIR; render it "
+        "with `repro postmortem DIR`",
     )
     cluster_run.add_argument("--json", action="store_true")
     add_fault_flags(cluster_run)
@@ -1173,7 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tail",
         type=int,
         default=20,
-        help="flight-recorder entries to show (newest last)",
+        help="timeline events to show (newest last)",
     )
     postmortem.set_defaults(func=cmd_postmortem)
 

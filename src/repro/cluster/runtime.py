@@ -25,7 +25,7 @@ import hashlib
 import json
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from ..core.schedule import TransactionSystem
 from ..core.transaction import Transaction
@@ -34,8 +34,8 @@ from ..faults.plan import FaultPlan
 from ..obs import distributed, trace
 from ..obs.events import EventLog
 from ..obs.insight import (
+    POSTMORTEM_EVENTS,
     ContentionTally,
-    FlightRecorder,
     dump_postmortem,
     postmortem_reason,
 )
@@ -266,15 +266,16 @@ class ClusterConfig:
     frame the configured cross-region delay.  Both come from traffic
     specs (:mod:`repro.workloads.traffic`); plain clusters only.
 
-    *recorder* controls the always-on flight recorder
-    (:class:`~repro.obs.insight.FlightRecorder`): ``True`` (default)
-    creates a fresh bounded ring for the run, ``False`` disables it,
-    and an instance is used as-is so the caller can inspect the ring
-    afterwards.  When the run ends badly (non-serializable,
-    partial-commit, or an incomplete audit) and *postmortem_dir* names
-    a directory, a post-mortem bundle (ring, report, recent events,
-    trace files, this configuration) is written there and recorded in
-    :attr:`ClusterReport.postmortem`; without it, nothing is written.
+    *postmortem_dir* arms the post-mortem: the run records its
+    timeline into *event_log*, or, when the caller gave none, into a
+    bounded :class:`~repro.obs.events.EventLog` of the newest
+    :data:`~repro.obs.insight.POSTMORTEM_EVENTS` events.  When the run
+    ends badly (:func:`~repro.obs.insight.postmortem_reason`:
+    non-serializable, partial-commit, an incomplete audit, or a
+    transaction that did not commit) a bundle (report, events, trace
+    files, this configuration) is written there and recorded in
+    :attr:`ClusterReport.postmortem`.  Without it, nothing is recorded
+    or written.
 
     *replicas* picks the topology: ``None`` boots one plain
     :class:`~repro.cluster.siteserver.SiteServer` per site; a count
@@ -300,7 +301,6 @@ class ClusterConfig:
     batch: bool = False
     arrivals: Sequence[int] | None = None
     latency: LatencyMatrix | None = None
-    recorder: FlightRecorder | bool = True
     postmortem_dir: str | None = None
     replicas: int | None = None
     lease_ticks: int = 64
@@ -355,7 +355,7 @@ class ClusterConfig:
         payload = {
             knob.name: getattr(self, knob.name)
             for knob in fields(self)
-            if knob.name not in ("event_log", "gateway", "recorder")
+            if knob.name not in ("event_log", "gateway")
         }
         if not isinstance(self.transport, str):
             payload["transport"] = type(self.transport).__name__
@@ -497,12 +497,11 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
     if config.replicas is not None:
         # repro.replica is built on this module, so it is imported late.
         from ..replica.runtime import ReplicaTopology as topology_class
+    if config.postmortem_dir and config.event_log is None:
+        # Once, here: every topology, server, fault adapter and the
+        # wire observer then read the same bounded log.
+        config = replace(config, event_log=EventLog(capacity=POSTMORTEM_EVENTS))
     event_log = config.event_log
-    if isinstance(config.recorder, FlightRecorder):
-        # Not a truthiness check: an empty ring is falsy but attached.
-        ring: FlightRecorder | None = config.recorder
-    else:
-        ring = FlightRecorder() if config.recorder else None
 
     started = time.perf_counter()
     if isinstance(config.transport, Transport):
@@ -524,10 +523,6 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
             REGISTRY.reset(prefix=prefix)
         if config.wire_metrics:
             distributed.WIRE.enable_metrics()
-        if ring is not None:
-            distributed.WIRE.attach_recorder(ring)
-            if event_log is not None:
-                event_log.ring = ring
         try:
             if config.vet:
                 decision = (config.gateway or Gateway()).vet(system)
@@ -563,10 +558,6 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
                 await transport.close()
             if config.wire_metrics:
                 distributed.WIRE.disable_metrics()
-            if ring is not None:
-                distributed.WIRE.detach_recorder()
-                if event_log is not None:
-                    event_log.ring = None
             if event_log is not None:
                 distributed.WIRE.detach()
 
@@ -598,7 +589,6 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
             report.postmortem = dump_postmortem(
                 config.postmortem_dir,
                 report=report,
-                recorder=ring,
                 event_log=event_log,
                 trace_paths=(active_trace,) if active_trace else (),
                 reason=reason,

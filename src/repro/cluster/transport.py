@@ -27,9 +27,9 @@ backoff and fault windows: memory ticks are bare event-loop yields
 the deterministic path consults a wall clock.
 
 Both transports report to the process-global wire observer
-(:data:`repro.obs.distributed.WIRE`) while it is active — which, with
-the flight recorder on by default, is every run: each frame end is told
-to the observer's sinks (one ring append by default).  A frame is
+(:data:`repro.obs.distributed.WIRE`) while it is active — while an
+event log, wire metrics or tracing is attached; a default run attaches
+none, and its transports skip every hook.  A frame is
 copied, stamped (``wire.send_ns``) and its encode timed only while the
 observer is *stamping*, i.e. while wire metrics or tracing will read
 the stamp; inbound frames that carry one get it completed and record

@@ -12,9 +12,10 @@ switched off:
   gauges and histograms with Prometheus-text and JSON dumps
   (``--metrics``, and the ``METRICS`` command of ``repro serve``);
 * :mod:`~repro.obs.events` — an append-only, logically timestamped
-  event log the simulator fills with lock grants/blocks/releases, step
-  executions and deadlock detections, so a non-serializable run can be
-  replayed as a readable timeline.
+  event log (optionally bounded to its newest entries) the simulator
+  and the cluster runtime fill with lock grants/blocks/releases, step
+  executions, messages and deadlock detections, so a non-serializable
+  run can be replayed as a readable timeline.
 
 :mod:`~repro.obs.distributed` carries all three across process
 boundaries for the cluster runtime: trace contexts ride inside
@@ -26,10 +27,10 @@ files into one causal tree per transaction.
 one verbosity-aware helper (with a JSON-lines formatter option), and
 :mod:`~repro.obs.report` turns exported traces into summaries.
 
-:mod:`~repro.obs.insight` is the always-on tier: a bounded
-flight-recorder ring dumped as a post-mortem bundle when a run ends
-badly, the ``status`` introspection plane with global
-wait-for stitching, and per-entity contention analytics.
+:mod:`~repro.obs.insight` is the production tier: post-mortem
+bundles (a run's bounded event log, dumped when it ends badly), the
+``status`` introspection plane with global wait-for stitching, and
+per-entity contention analytics.
 """
 
 from .distributed import (
@@ -48,7 +49,6 @@ from .events import EventLog, SimEvent
 from .insight import (
     ClusterStatus,
     ContentionTally,
-    FlightRecorder,
     contention_from_records,
     deadlock_cycles,
     dump_postmortem,
@@ -95,7 +95,6 @@ __all__ = [
     "ContentionTally",
     "Counter",
     "EventLog",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",

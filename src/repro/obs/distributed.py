@@ -19,18 +19,18 @@ causal tree even when every hop ran in a different process.  Messages
 nodes interoperate.
 
 **Wire-latency decomposition.**  The :data:`WIRE` observer separates
-two questions.  *Who is told about a frame* — the flight recorder
-(on by default in every run), an event log, the metrics, the tracer:
-while any of them is attached the observer is :attr:`~WireObserver.
-active` and every endpoint reports its sends and receives.  *Who
-makes a frame carry a stamp* — only a reader of the stamp, i.e. the
-metrics or the tracer (:attr:`~WireObserver.stamping`): only then is
-the frame copied and stamped (the ``wire`` field: wall-clock
-``send_ns``; the receiver adds ``recv_ns``), the encode timed and a
-wall clock read per stage.  A default run therefore ships unstamped
-frames — the flight ring's ``bytes`` are the unstamped sizes — and
-pays one ring append per frame end; with metrics on, every endpoint
-feeds per-stage nanosecond histograms
+two questions.  *Who is told about a frame* — an event log (``--events``
+or a post-mortem run), the metrics, the tracer: while any of them is
+attached the observer is :attr:`~WireObserver.active` and every
+endpoint reports its sends and receives; a default run attaches none,
+so the transports skip every hook.  *Who makes a frame carry a stamp*
+— only a reader of the stamp, i.e. the metrics or the tracer
+(:attr:`~WireObserver.stamping`): only then is the frame copied and
+stamped (the ``wire`` field: wall-clock ``send_ns``; the receiver adds
+``recv_ns``), the encode timed and a wall clock read per stage.  An
+event log alone therefore sees unstamped frames — its ``send``/``recv``
+byte sizes are those of the frames as built.  With metrics on, every
+endpoint feeds per-stage nanosecond histograms
 (``repro_cluster_latency_ns{stage=...,site=...}``) plus per-kind
 ``repro_cluster_messages_total`` / ``repro_cluster_bytes_total``
 counters.  The five stages:
@@ -57,10 +57,7 @@ trace-report FILE [FILE ...]`` renders the result: slowest-transaction
 trees, a per-stage percentile table (:func:`stage_rows`), and
 election/failover annotations from ``replica.*`` spans.
 
-Stamps, stage metrics and spans are off by default; the flight
-recorder is not, so the default per-frame cost is what
-:meth:`WireObserver.sent` / :meth:`~WireObserver.received` do for a
-recorder alone — no copy, no clock, one tuple appended.
+Stamps, stage metrics, spans and wire events are all off by default.
 """
 
 from __future__ import annotations
@@ -161,16 +158,13 @@ def extract(message: dict) -> dict | None:
 class WireObserver:
     """Process-global switchboard for wire-level observability.
 
-    Four independently attachable sinks:
+    Three independently attachable sinks:
 
     * **metrics** (:meth:`enable_metrics`) — per-stage latency
       histograms and byte/message counters in the default registry;
     * **events** (:meth:`attach`) — ``send``/``recv`` entries on a
       :class:`~repro.obs.events.EventLog` (with the shared logical
       clock tick when a replicated run attaches one);
-    * **recorder** (:meth:`attach_recorder`) — every send/recv lands
-      in the bounded :class:`~repro.obs.insight.FlightRecorder` ring,
-      the raw material of post-mortem bundles;
     * **tracing** — implicit: stamps are also added whenever the
       process tracer is on, so remote spans can carry stage attributes.
 
@@ -184,7 +178,6 @@ class WireObserver:
         self.metrics_enabled = False
         self.event_log = None
         self.clock = None
-        self.recorder = None
         #: Label values -> bound metric children.  The observer outlives
         #: every run, so this is cleared by :meth:`enable_metrics` —
         #: which each run calls right after resetting the registry.
@@ -194,8 +187,7 @@ class WireObserver:
     def active(self) -> bool:
         """Must anyone be told about frames at all?"""
         return (
-            self.recorder is not None
-            or self.event_log is not None
+            self.event_log is not None
             or self.metrics_enabled
             or trace.tracing_enabled()
         )
@@ -226,15 +218,6 @@ class WireObserver:
         """Stop emitting wire events."""
         self.event_log = None
         self.clock = None
-
-    def attach_recorder(self, recorder) -> None:
-        """Feed every send/recv into *recorder* (a
-        :class:`~repro.obs.insight.FlightRecorder`)."""
-        self.recorder = recorder
-
-    def detach_recorder(self) -> None:
-        """Stop feeding the flight recorder."""
-        self.recorder = None
 
     # -- metric families (resolved by name; children bound per run) ----
     def _latency(self):
@@ -331,8 +314,6 @@ class WireObserver:
             self._count("sent", message, nbytes, site)
         if self.event_log is not None:
             self._event("send", message, nbytes, site)
-        if self.recorder is not None:
-            self.recorder.wire("send", message, nbytes, site)
 
     def received(self, message: dict, nbytes: int, site) -> None:
         """One frame reached an endpoint: complete its wire stamp if it
@@ -350,8 +331,6 @@ class WireObserver:
             self._count("received", message, nbytes, site)
         if self.event_log is not None:
             self._event("recv", message, nbytes, site)
-        if self.recorder is not None:
-            self.recorder.wire("recv", message, nbytes, site)
 
 
 #: The process-global wire observer every transport consults.

@@ -12,6 +12,7 @@ the same system under the same driver seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -84,16 +85,24 @@ class SimEvent:
 class EventLog:
     """Append-only, logically timestamped simulator timeline.
 
-    When :attr:`ring` points at a
-    :class:`~repro.obs.insight.FlightRecorder`, every emitted event is
-    also mirrored into that bounded ring, so a crash post-mortem keeps
-    the *recent* timeline even when the full log was never kept.
+    *capacity* bounds the log: ``None`` (the default) keeps every
+    event; a positive count keeps only the newest that many, while
+    :attr:`seq` keeps counting, so a post-mortem holds the *recent*
+    timeline of an arbitrarily long run in bounded memory.
     """
 
-    def __init__(self) -> None:
-        self.events: list[SimEvent] = []
-        #: Optional flight-recorder tap (set by the cluster runtime).
-        self.ring = None
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity <= 0:
+            raise ValueError(f"event log capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self.events: deque[SimEvent] = deque(maxlen=capacity)
+        #: Events ever emitted (monotone, survives the bound).
+        self.seq = 0
+
+    @property
+    def dropped(self) -> int:
+        """Events pushed out by the bound."""
+        return self.seq - len(self.events)
 
     def emit(
         self,
@@ -109,7 +118,7 @@ class EventLog:
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         event = SimEvent(
-            seq=len(self.events),
+            seq=self.seq,
             kind=kind,
             transaction=transaction,
             entity=entity,
@@ -117,8 +126,7 @@ class EventLog:
             detail=detail,
         )
         self.events.append(event)
-        if self.ring is not None:
-            self.ring.event(event)
+        self.seq += 1
         return event
 
     def __len__(self) -> int:
@@ -138,14 +146,15 @@ class EventLog:
         ) + ("\n" if self.events else "")
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "EventLog":
-        """Rebuild a log from :meth:`to_jsonl` output."""
+    def from_jsonl(cls, path: str, *, on_skip=None) -> "EventLog":
+        """Rebuild a log from a file of :meth:`to_jsonl` output.  A
+        damaged line — a producer may have died mid-write — is skipped
+        through :func:`repro.obs.report.read_jsonl`, which tells
+        *on_skip(path, number, reason)*."""
+        from .report import read_jsonl
+
         log = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
+        for record in read_jsonl(path, ("seq", "kind"), strict=False, on_skip=on_skip):
             log.events.append(
                 SimEvent(
                     seq=record["seq"],
@@ -156,6 +165,8 @@ class EventLog:
                     detail=record.get("detail", ""),
                 )
             )
+        if log.events:
+            log.seq = log.events[-1].seq + 1
         return log
 
     def render(self) -> str:

@@ -1,23 +1,18 @@
-"""The insight tier: flight recorder, live status plane, contention.
+"""The insight tier: post-mortem bundles, live status plane, contention.
 
-Third observability layer, after local spans/metrics (:mod:`repro.obs.
-trace`, PR 2) and cross-process tracing (:mod:`repro.obs.distributed`,
-PR 7).  Three instruments, all designed to be *on in production*:
+Third observability layer, after local spans/metrics
+(:mod:`repro.obs.trace`) and cross-process tracing
+(:mod:`repro.obs.distributed`).  Three instruments:
 
-**Flight recorder.**  :class:`FlightRecorder` is a bounded ring of the
-most recent observability happenings in one process — wire sends and
-receives (fed by :data:`repro.obs.distributed.WIRE`) plus simulator
-events (mirrored by :class:`repro.obs.events.EventLog` when its
-``ring`` tap is set).  Recording a frame is one tuple appended and the
-ring never grows, so it stays near-free while the cluster is healthy;
-when a run ends non-serializable, partial-commit or audit-incomplete,
-the runtime dumps the ring — with the report and any trace files —
-into a post-mortem bundle (:func:`dump_postmortem`) that ``repro
-postmortem DIR`` renders (:func:`render_postmortem`).  Ring entries
-carry no wall-clock fields, so a memory-transport run records a
-bit-deterministic ring.  A frame's ``bytes`` is its size as shipped:
-the unstamped size, unless wire metrics or tracing made the frame carry
-a ``wire`` stamp.
+**Post-mortem bundles.**  A run given a ``postmortem_dir`` records its
+timeline into a bounded :class:`~repro.obs.events.EventLog` (the newest
+:data:`POSTMORTEM_EVENTS` events, unless the caller supplied a log);
+when the run ends badly (:func:`postmortem_reason`) the runtime dumps
+that log — with the report and any trace files — into a bundle
+(:func:`dump_postmortem`) that ``repro postmortem DIR`` renders
+(:func:`render_postmortem`).  A run without a ``postmortem_dir``
+records nothing.  Events carry no wall-clock fields, so a
+memory-transport run writes a bit-deterministic ``events.jsonl``.
 
 **Status plane.**  Site servers answer ``status`` protocol requests
 with their live lock table (holders, FIFO wait queues, grant-timer
@@ -45,15 +40,15 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from collections import deque
 from typing import Any, Iterable
 
 from .. import stats
 from ..graphs import DiGraph, simple_cycles
+from .events import EventLog
 
-#: Default ring capacity: enough to reconstruct the last few hundred
-#: protocol exchanges without ever holding more than ~100 KB.
-RING_CAPACITY = 512
+#: Events a post-mortem run keeps when the caller gave no event log:
+#: the last few hundred protocol exchanges (~35 KB of ``events.jsonl``).
+POSTMORTEM_EVENTS = 512
 
 #: Bounded per-entity sample reservoirs inside a tally.
 SAMPLE_CAP = 2048
@@ -63,104 +58,6 @@ CONVOY_DEPTH = 3
 
 #: A wait this many times the entity's median wait flags starvation.
 STARVATION_RATIO = 8.0
-
-#: Keys of a wire entry, in the order :meth:`FlightRecorder.wire` packs
-#: their values.
-_WIRE_FIELDS = ("seq", "kind", "type", "id", "txn", "bytes", "site")
-
-
-# ----------------------------------------------------------------------
-# Flight recorder
-# ----------------------------------------------------------------------
-class FlightRecorder:
-    """A bounded ring buffer of recent observability records.
-
-    Entries read back as plain dicts — ``{"seq": n, "kind": ...}`` plus
-    kind-specific fields — appended via :meth:`record` or the
-    :meth:`wire` / :meth:`event` adapters.  Once ``capacity`` entries
-    exist, the oldest is overwritten (``dropped`` counts the losses).
-    Entries deliberately carry no wall-clock values: under the memory
-    transport the ring contents are a pure function of the workload
-    and seed.
-    """
-
-    def __init__(self, capacity: int = RING_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        #: Dicts from :meth:`record`, ``_WIRE_FIELDS`` tuples from
-        #: :meth:`wire` (made dicts by :meth:`snapshot`), oldest first.
-        self._ring: deque[dict[str, Any] | tuple] = deque(maxlen=capacity)
-        #: Total records ever offered (monotone, survives wraparound).
-        self.seq = 0
-
-    @property
-    def dropped(self) -> int:
-        """Records overwritten by wraparound."""
-        return self.seq - len(self._ring)
-
-    def record(self, kind: str, **fields: Any) -> None:
-        """Append one entry (overwriting the oldest at capacity)."""
-        entry: dict[str, Any] = {"seq": self.seq, "kind": kind}
-        entry.update(fields)
-        self._ring.append(entry)
-        self.seq += 1
-
-    # -- adapters ------------------------------------------------------
-    def wire(self, direction: str, message: dict, nbytes: int, site) -> None:
-        """One frame moved (``direction`` is ``send`` or ``recv``).
-
-        This runs once per frame end in every run — it is the default
-        per-frame observability cost — so it appends one tuple (most
-        entries are overwritten unread; :meth:`snapshot` builds the
-        dicts).
-        """
-        get = message.get
-        self._ring.append(
-            (
-                self.seq,
-                direction,
-                get("type"),
-                get("id"),
-                get("txn"),
-                nbytes,
-                site if isinstance(site, int) else None,
-            )
-        )
-        self.seq += 1
-
-    def event(self, event) -> None:
-        """Mirror one :class:`~repro.obs.events.SimEvent`."""
-        payload = event.to_dict()
-        self.record(
-            "event",
-            event_seq=payload.pop("seq", None),
-            event_kind=payload.pop("kind", None),
-            **payload,
-        )
-
-    # -- inspection ----------------------------------------------------
-    def snapshot(self) -> list[dict[str, Any]]:
-        """The retained entries, oldest first."""
-        return [
-            dict(zip(_WIRE_FIELDS, entry)) if type(entry) is tuple else entry
-            for entry in self._ring
-        ]
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self.seq = 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line, oldest first."""
-        entries = self.snapshot()
-        return "\n".join(
-            json.dumps(entry, sort_keys=True) for entry in entries
-        ) + ("\n" if entries else "")
-
 
 # ----------------------------------------------------------------------
 # Contention analytics
@@ -582,6 +479,8 @@ def postmortem_reason(report) -> str | None:
         return "partial-commit"
     if not report.audit_complete:
         return "audit-incomplete"
+    if report.committed != report.transactions:
+        return "uncommitted"
     return None
 
 
@@ -589,15 +488,14 @@ def dump_postmortem(
     directory,
     *,
     report=None,
-    recorder: FlightRecorder | None = None,
     event_log=None,
     trace_paths: Iterable[str] = (),
     reason: str | None = None,
     config: dict[str, Any] | None = None,
 ) -> str:
     """Write a post-mortem bundle into *directory* (created if needed):
-    ``MANIFEST.json`` plus ``report.json`` / ``flight.jsonl`` /
-    ``events.jsonl`` and copies of *trace_paths* under ``traces/``.
+    ``MANIFEST.json`` plus ``report.json`` / ``events.jsonl`` and
+    copies of *trace_paths* under ``traces/``.
     *config* (``ClusterConfig.to_dict()``: seed, transport, fault plan,
     ...) goes into the manifest so the bundle names the run that
     produced it.  Returns the bundle path."""
@@ -615,20 +513,13 @@ def dump_postmortem(
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         manifest["report"] = True
-    if recorder is not None:
-        with open(
-            os.path.join(directory, "flight.jsonl"), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(recorder.to_jsonl())
-        manifest["flight_records"] = len(recorder)
-        manifest["flight_seq"] = recorder.seq
-        manifest["flight_dropped"] = recorder.dropped
     if event_log is not None and len(event_log):
         with open(
             os.path.join(directory, "events.jsonl"), "w", encoding="utf-8"
         ) as handle:
             handle.write(event_log.to_jsonl())
         manifest["events"] = len(event_log)
+        manifest["events_dropped"] = event_log.dropped
 
     copied = []
     for path in trace_paths:
@@ -655,9 +546,9 @@ def dump_postmortem(
 
 
 def load_postmortem(directory) -> dict[str, Any]:
-    """Read a bundle back: manifest, report dict, flight entries (bad
-    lines skipped — a producer may have died mid-write), event count
-    and trace records."""
+    """Read a bundle back: manifest, report dict, the event timeline
+    (an :class:`~repro.obs.events.EventLog`; bad lines skipped and
+    counted — a producer may have died mid-write) and trace records."""
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, "MANIFEST.json")
     if not os.path.isfile(manifest_path):
@@ -675,21 +566,14 @@ def load_postmortem(directory) -> dict[str, Any]:
         except ValueError:
             bundle["report"] = None
 
-    flight_path = os.path.join(directory, "flight.jsonl")
-    entries: list[dict[str, Any]] = []
-    skipped = 0
-    if os.path.isfile(flight_path):
-        with open(flight_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    skipped += 1
-    bundle["flight"] = entries
-    bundle["flight_skipped"] = skipped
+    events_path = os.path.join(directory, "events.jsonl")
+    skipped: list[tuple] = []
+    bundle["events"] = (
+        EventLog.from_jsonl(events_path, on_skip=lambda *skip: skipped.append(skip))
+        if os.path.isfile(events_path)
+        else EventLog()
+    )
+    bundle["events_skipped"] = len(skipped)
 
     traces_dir = os.path.join(directory, "traces")
     trace_records: list[dict[str, Any]] = []
@@ -763,29 +647,19 @@ def render_postmortem(directory, *, tail: int = 20) -> str:
         if rows:
             lines.append(render_contention(rows, limit=5))
 
-    flight = bundle["flight"]
-    if flight:
-        dropped = manifest.get("flight_dropped", 0)
+    events = bundle["events"]
+    if events:
+        dropped = manifest.get("events_dropped", 0)
         lines.append(
-            f"flight recorder: {len(flight)} record(s) retained"
-            + (f", {dropped} older overwritten" if dropped else "")
+            f"timeline: {len(events)} event(s) retained"
+            + (f", {dropped} older dropped" if dropped else "")
             + (
-                f", {bundle['flight_skipped']} corrupt line(s) skipped"
-                if bundle["flight_skipped"]
+                f", {bundle['events_skipped']} corrupt line(s) skipped"
+                if bundle["events_skipped"]
                 else ""
             )
         )
-        for entry in flight[-tail:]:
-            kind = entry.get("kind", "?")
-            if kind == "event" and entry.get("event_kind"):
-                kind = f"ev:{entry['event_kind']}"
-            detail = " ".join(
-                f"{key}={entry[key]}"
-                for key in ("type", "txn", "transaction", "entity", "site",
-                            "bytes", "detail")
-                if entry.get(key) not in (None, "")
-            )
-            lines.append(f"  [{entry.get('seq', '?'):>6}] {kind:<6} {detail}".rstrip())
+        lines.extend(f"  {event}" for event in list(events)[max(len(events) - tail, 0):])
 
     records = bundle["trace_records"]
     if records:

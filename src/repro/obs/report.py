@@ -24,13 +24,17 @@ import json
 from typing import Any, Callable
 
 
-def load_trace(
+def read_jsonl(
     path: str,
+    required: tuple[str, ...],
     *,
     strict: bool = True,
     on_skip: Callable[[str, int, str], None] | None = None,
 ) -> list[dict[str, Any]]:
-    """Parse a JSONL trace file into its records.
+    """Parse a JSONL file into its records: JSON objects carrying every
+    *required* key.  The one line loop behind span traces
+    (:func:`load_trace`) and event timelines
+    (:meth:`repro.obs.events.EventLog.from_jsonl`).
 
     With ``strict=True`` (the default) bad lines raise ``ValueError``.
     With ``strict=False`` a malformed line — a crash-killed producer
@@ -47,27 +51,28 @@ def load_trace(
             try:
                 record = json.loads(line)
             except ValueError as exc:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{number}: not a JSON trace record: {exc}"
-                    ) from exc
-                if on_skip is not None:
-                    on_skip(path, number, f"not a JSON trace record: {exc}")
-                continue
-            if (
-                not isinstance(record, dict)
-                or "span" not in record
-                or "dur_ns" not in record
-            ):
-                if strict:
-                    raise ValueError(
-                        f"{path}:{number}: record lacks span/dur_ns fields"
-                    )
-                if on_skip is not None:
-                    on_skip(path, number, "record lacks span/dur_ns fields")
-                continue
-            records.append(record)
+                reason = f"not a JSON record: {exc}"
+            else:
+                if isinstance(record, dict) and all(key in record for key in required):
+                    records.append(record)
+                    continue
+                reason = f"record lacks {'/'.join(required)} fields"
+            if strict:
+                raise ValueError(f"{path}:{number}: {reason}")
+            if on_skip is not None:
+                on_skip(path, number, reason)
     return records
+
+
+def load_trace(
+    path: str,
+    *,
+    strict: bool = True,
+    on_skip: Callable[[str, int, str], None] | None = None,
+) -> list[dict[str, Any]]:
+    """Parse a JSONL trace file into its span records (see
+    :func:`read_jsonl`)."""
+    return read_jsonl(path, ("span", "dur_ns"), strict=strict, on_skip=on_skip)
 
 
 def aggregate(records: list[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -264,14 +264,14 @@ class TestConfiguration:
     )
     def test_rejected_config_leaves_wire_idle(self, deadlock_prone_system, knobs):
         # Validation runs before any process-global state is touched:
-        # a rejected run must not leave wire metrics on or a flight
-        # recorder attached for the rest of the process.
+        # a rejected run must not leave wire metrics on or an event
+        # log attached for the rest of the process.
         with pytest.raises(ReproError):
             run_cluster_sync(
                 deadlock_prone_system, wire_metrics=True, event_log=EventLog(), **knobs
             )
         assert not WIRE.metrics_enabled
-        assert WIRE.recorder is None and WIRE.event_log is None
+        assert WIRE.event_log is None
         assert not WIRE.active
 
     def test_unvetted_mode(self, deadlock_prone_system):

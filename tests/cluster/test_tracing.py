@@ -10,7 +10,6 @@ from repro.faults import FaultPlan, MessageDrop
 from repro.obs import trace
 from repro.obs.distributed import WIRE, merge_traces, trace_trees
 from repro.obs.events import EventLog
-from repro.obs.insight import FlightRecorder
 from repro.obs.metrics import REGISTRY
 from repro.obs.report import summarize_files
 
@@ -160,25 +159,32 @@ class TestWireMetrics:
         assert REGISTRY.get("repro_cluster_bytes_total") is not None
 
     def test_default_run_ships_unstamped_frames(self, deadlock_prone_system):
-        # Recorder on (the default), no metrics, no tracer: frames are
-        # told to the ring but nothing reads a stamp, so none is added
-        # and the ring's sizes are those of the frames as built.
-        ring = FlightRecorder(capacity=100_000)
-        report, frames = _captured_run(deadlock_prone_system, recorder=ring)
+        # No metrics, no tracer, no event log: the observer stays idle
+        # and no frame carries a stamp.
+        report, frames = _captured_run(deadlock_prone_system)
         assert report.committed == report.transactions
         assert frames
         assert not any("wire" in frame for frame in frames)
-        entries = ring.snapshot()
-        assert ring.dropped == 0
-        received = [entry for entry in entries if entry["kind"] == "recv"]
-        assert [entry["bytes"] for entry in received] == [
+        # An event log is told about every frame but reads no stamp, so
+        # frames still ship unstamped and its sizes are the frames' as
+        # built.
+        event_log = EventLog()
+        logged, logged_frames = _captured_run(deadlock_prone_system, event_log=event_log)
+        assert logged.history_fingerprint == report.history_fingerprint
+        assert logged_frames == frames
+
+        def size(event):
+            return int(event.detail.split()[1].rstrip("B"))
+
+        received = event_log.of_kind("recv")
+        assert [size(event) for event in received] == [
             len(protocol.encode(frame)) for frame in frames
         ]
-        assert [(e["type"], e["id"]) for e in received] == [
-            (frame["type"], frame.get("id")) for frame in frames
+        assert [event.detail.split()[0] for event in received] == [
+            frame["type"] for frame in frames
         ]
-        sent = sorted(e["bytes"] for e in entries if e["kind"] == "send")
-        assert sent == sorted(entry["bytes"] for entry in received)
+        sent = sorted(size(event) for event in event_log.of_kind("send"))
+        assert sent == sorted(size(event) for event in received)
 
     def test_back_to_back_runs_do_not_accumulate(self, deadlock_prone_system):
         def total_messages():

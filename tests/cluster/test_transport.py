@@ -26,7 +26,7 @@ from repro.cluster.transport import (
     _FrameProtocol,
 )
 from repro.obs import distributed
-from repro.obs.insight import FlightRecorder
+from repro.obs.events import EventLog
 
 from .conftest import deadlock_prone_pair
 
@@ -331,16 +331,15 @@ def _splitter():
 async def _drain(connection):
     """Every message until the end of the stream, and the frame sizes
     the wire observer was told."""
-    ring = FlightRecorder(capacity=10_000)
-    previous = distributed.WIRE.recorder
-    distributed.WIRE.attach_recorder(ring)
+    event_log = EventLog()
+    distributed.WIRE.attach(event_log)
     try:
         messages = []
         while (message := await connection.recv()) is not None:
             messages.append(message)
     finally:
-        distributed.WIRE.attach_recorder(previous)
-    return messages, [entry["bytes"] for entry in ring.snapshot()]
+        distributed.WIRE.detach()
+    return messages, [int(event.detail.split()[1].rstrip("B")) for event in event_log]
 
 
 _codecs = st.sampled_from([protocol.JSON_CODEC, protocol.BINARY_CODEC])

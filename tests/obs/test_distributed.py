@@ -73,6 +73,20 @@ class TestWireObserver:
         wire.disable_metrics()
         assert not wire.active
 
+    def test_event_log_activates_observer(self):
+        wire = WireObserver()
+        log = EventLog()
+        wire.attach(log)
+        assert wire.active and not wire.stamping
+        wire.sent({"type": "lock", "id": 1, "txn": "T1"}, 42, 0, site=1)
+        wire.received({"type": "reply", "id": 1}, 24, site=1)
+        wire.detach()
+        assert not wire.active
+        assert [(event.kind, event.detail) for event in log] == [
+            ("send", "lock 42B"),
+            ("recv", "reply 24B"),
+        ]
+
     def test_stamp_copies_and_timestamps(self):
         wire = WireObserver()
         message = {"type": "lock", "id": 1}

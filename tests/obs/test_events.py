@@ -26,12 +26,15 @@ class TestEventLog:
         log.emit("grant", transaction="T1", entity="y")
         assert [e.entity for e in log.of_kind("grant")] == ["x", "y"]
 
-    def test_jsonl_roundtrip(self):
+    def test_jsonl_roundtrip(self, tmp_path):
         log = EventLog()
         log.emit("grant", transaction="T1", entity="x", site=2)
         log.emit("deadlock", detail="T1 -> T2 -> T1")
-        rebuilt = EventLog.from_jsonl(log.to_jsonl())
+        path = tmp_path / "events.jsonl"
+        path.write_text(log.to_jsonl())
+        rebuilt = EventLog.from_jsonl(str(path))
         assert rebuilt.events == log.events
+        assert rebuilt.seq == log.seq
 
     def test_render_is_line_per_event(self):
         log = EventLog()
@@ -40,9 +43,35 @@ class TestEventLog:
         assert text.splitlines()[0] == "timeline: 1 events"
         assert "grant" in text and "T1" in text
 
-    def test_empty_log_jsonl(self):
+    def test_empty_log_jsonl(self, tmp_path):
         assert EventLog().to_jsonl() == ""
-        assert EventLog.from_jsonl("").events == []
+        path = tmp_path / "events.jsonl"
+        path.write_text("")
+        assert len(EventLog.from_jsonl(str(path))) == 0
+
+
+class TestBoundedLog:
+    def test_wraps_at_capacity(self):
+        log = EventLog(capacity=4)
+        for i in range(10):
+            log.emit("step", detail=str(i))
+        assert len(log) == 4
+        assert log.seq == 10
+        assert log.dropped == 6
+        assert [event.detail for event in log] == ["6", "7", "8", "9"]
+        assert [event.seq for event in log] == [6, 7, 8, 9]
+
+    def test_below_capacity_keeps_everything(self):
+        log = EventLog(capacity=8)
+        for i in range(3):
+            log.emit("step", detail=str(i))
+        assert len(log) == 3
+        assert log.dropped == 0
+        assert [event.detail for event in log] == ["0", "1", "2"]
+
+    def test_bad_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            EventLog(capacity=0)
 
 
 class TestSimulatorTimeline:

@@ -1,7 +1,8 @@
-"""The insight tier: flight recorder, contention analytics, wait-for
-stitching and post-mortem bundles."""
+"""The insight tier: the post-mortem timeline, contention analytics,
+wait-for stitching and post-mortem bundles."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -10,12 +11,13 @@ from repro.core.entity import DistributedDatabase
 from repro.core.schedule import TransactionSystem
 from repro.core.step import lock, unlock, update
 from repro.core.transaction import Transaction
+from repro.dsl import parse_system
 from repro.obs import distributed
 from repro.obs.events import EventLog
 from repro.obs.insight import (
+    POSTMORTEM_EVENTS,
     ClusterStatus,
     ContentionTally,
-    FlightRecorder,
     contention_from_records,
     deadlock_cycles,
     dump_postmortem,
@@ -48,91 +50,62 @@ def contended_system():
     )
 
 
-class TestFlightRecorder:
-    def test_ring_wraps_at_capacity(self):
-        ring = FlightRecorder(capacity=4)
-        for i in range(10):
-            ring.record("probe", value=i)
-        assert len(ring) == 4
-        assert ring.seq == 10
-        assert ring.dropped == 6
-        values = [entry["value"] for entry in ring.snapshot()]
-        assert values == [6, 7, 8, 9]  # oldest first
-        seqs = [entry["seq"] for entry in ring.snapshot()]
-        assert seqs == sorted(seqs)
-
-    def test_below_capacity_keeps_everything(self):
-        ring = FlightRecorder(capacity=8)
-        for i in range(3):
-            ring.record("probe", value=i)
-        assert len(ring) == 3
-        assert ring.dropped == 0
-        assert [e["value"] for e in ring.snapshot()] == [0, 1, 2]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
-
-    def test_event_adapter_namespaces_fields(self):
-        ring = FlightRecorder()
-        log = EventLog()
-        log.ring = ring
-        log.emit("grant", transaction="T1", entity="x", site=1)
-        (entry,) = ring.snapshot()
-        assert entry["kind"] == "event"
-        assert entry["event_kind"] == "grant"
-        assert entry["event_seq"] == 0
-        assert entry["transaction"] == "T1"
-
-    def test_to_jsonl_roundtrips(self):
-        ring = FlightRecorder()
-        ring.record("probe", value=1)
-        lines = ring.to_jsonl().splitlines()
-        assert json.loads(lines[0])["value"] == 1
-
-    def test_recorder_activates_wire_observer(self):
-        observer = distributed.WireObserver()
-        assert not observer.active
-        ring = FlightRecorder()
-        observer.attach_recorder(ring)
-        assert observer.active
-        observer.sent({"type": "lock", "id": 1, "txn": "T1"}, 42, 0, site=1)
-        observer.received({"type": "reply", "id": 1}, 24, site=1)
-        observer.detach_recorder()
-        assert not observer.active
-        kinds = [entry["kind"] for entry in ring.snapshot()]
-        assert kinds == ["send", "recv"]
-        assert ring.snapshot()[0]["bytes"] == 42
+@pytest.fixture
+def fig3_like_system():
+    path = pathlib.Path(__file__).parents[2] / "examples/systems/fig3_like.sys"
+    return parse_system(path.read_text())
 
 
 class TestRecorderInCluster:
-    def test_ring_is_deterministic_on_memory_transport(self, contended_system):
-        first = FlightRecorder()
-        second = FlightRecorder()
-        run_cluster_sync(contended_system, rounds=2, seed=11, recorder=first)
-        run_cluster_sync(contended_system, rounds=2, seed=11, recorder=second)
-        assert first.seq == second.seq > 0
-        assert first.to_jsonl() == second.to_jsonl()
+    """A post-mortem run records its timeline into a bounded event
+    log; a default run records nothing at all."""
 
-    def test_outcome_fingerprint_identical_recorder_on_vs_off(
-        self, contended_system
+    def test_default_run_leaves_wire_idle(self, contended_system, monkeypatch):
+        from repro.cluster import runtime
+
+        seen = []
+        execute = runtime._execute
+
+        async def observed(workload, topology):
+            seen.append(distributed.WIRE.active)
+            outcomes = await execute(workload, topology)
+            seen.append(distributed.WIRE.active)
+            return outcomes
+
+        monkeypatch.setattr(runtime, "_execute", observed)
+        seen.append(distributed.WIRE.active)
+        report = run_cluster_sync(contended_system, rounds=1, seed=3)
+        seen.append(distributed.WIRE.active)
+        assert report.committed == report.transactions
+        assert seen == [False] * 4
+
+    def test_postmortem_run_fingerprints_match_plain_run(
+        self, tmp_path, contended_system
     ):
-        instrumented = run_cluster_sync(
-            contended_system, rounds=2, seed=11, recorder=FlightRecorder()
+        armed = run_cluster_sync(
+            contended_system, rounds=2, seed=11, postmortem_dir=str(tmp_path / "pm")
         )
-        bare = run_cluster_sync(
-            contended_system, rounds=2, seed=11, recorder=False
-        )
-        assert instrumented.outcome_fingerprint == bare.outcome_fingerprint
-        assert instrumented.history_fingerprint == bare.history_fingerprint
-        assert instrumented.committed == bare.committed == bare.transactions
+        bare = run_cluster_sync(contended_system, rounds=2, seed=11)
+        assert armed.outcome_fingerprint == bare.outcome_fingerprint
+        assert armed.history_fingerprint == bare.history_fingerprint
+        assert armed.committed == bare.committed == bare.transactions
 
-    def test_disabled_recorder_records_nothing(self, contended_system):
-        ring = FlightRecorder()
-        run_cluster_sync(contended_system, rounds=1, seed=3, recorder=False)
-        # Nothing attached the ring, and the observer is quiescent.
-        assert len(ring) == 0
-        assert not distributed.WIRE.active
+    def test_postmortem_events_are_deterministic_on_memory_transport(
+        self, tmp_path, fig3_like_system
+    ):
+        written = []
+        for name in ("first", "second"):
+            report = run_cluster_sync(
+                fig3_like_system,
+                rounds=4,
+                seed=7,
+                max_retries=0,
+                postmortem_dir=str(tmp_path / name),
+            )
+            written.append((tmp_path / name / "events.jsonl").read_bytes())
+        assert report.postmortem == str(tmp_path / "second")
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == POSTMORTEM_EVENTS
 
     def test_report_carries_contention_ranking(self, contended_system):
         report = run_cluster_sync(contended_system, rounds=3, seed=11)
@@ -272,13 +245,11 @@ class TestWaitForStitching:
 
 class TestPostmortem:
     def test_dump_load_render_roundtrip(self, tmp_path, contended_system):
-        ring = FlightRecorder()
         event_log = EventLog()
         report = run_cluster_sync(
             contended_system,
             rounds=1,
             seed=5,
-            recorder=ring,
             event_log=event_log,
         )
         trace_file = tmp_path / "site.jsonl"
@@ -288,7 +259,6 @@ class TestPostmortem:
         bundle = dump_postmortem(
             tmp_path / "bundle",
             report=report,
-            recorder=ring,
             event_log=event_log,
             trace_paths=[str(trace_file)],
             reason="test-reason",
@@ -296,22 +266,32 @@ class TestPostmortem:
         loaded = load_postmortem(bundle)
         assert loaded["manifest"]["reason"] == "test-reason"
         assert loaded["report"]["transactions"] == report.transactions
-        assert loaded["flight"], "ring contents must be preserved"
+        assert list(loaded["events"]) == list(event_log)
         assert len(loaded["trace_records"]) == 1  # damaged line skipped
-        text = render_postmortem(bundle)
+        text = render_postmortem(bundle, tail=3)
         assert "test-reason" in text
-        assert "flight recorder" in text
+        assert f"timeline: {len(event_log)} event(s) retained" in text
+        tail = [str(event) for event in list(event_log)[-3:]]
+        assert [line.strip() for line in text.splitlines() if line.startswith("  [")] == tail
 
-    def test_truncated_flight_line_skipped(self, tmp_path):
-        ring = FlightRecorder()
-        ring.record("probe", value=1)
-        bundle = dump_postmortem(tmp_path / "b", recorder=ring, reason="r")
-        flight = tmp_path / "b" / "flight.jsonl"
-        flight.write_text(flight.read_text() + '{"seq": 99, "kin')
+    def test_truncated_events_line_skipped(self, tmp_path):
+        event_log = EventLog()
+        event_log.emit("grant", transaction="T1", entity="x", site=1)
+        bundle = dump_postmortem(tmp_path / "b", event_log=event_log, reason="r")
+        events = tmp_path / "b" / "events.jsonl"
+        events.write_text(events.read_text() + '{"seq": 99, "kin')
         loaded = load_postmortem(bundle)
-        assert loaded["flight_skipped"] == 1
-        assert len(loaded["flight"]) == 1
-        assert render_postmortem(bundle)  # still renders
+        assert loaded["events_skipped"] == 1
+        assert len(loaded["events"]) == 1
+        assert "1 corrupt line(s) skipped" in render_postmortem(bundle)
+
+    def test_bounded_log_reports_dropped_events(self, tmp_path):
+        event_log = EventLog(capacity=2)
+        for entity in "xyz":
+            event_log.emit("grant", transaction="T1", entity=entity)
+        bundle = dump_postmortem(tmp_path / "b", event_log=event_log, reason="r")
+        assert [event.entity for event in load_postmortem(bundle)["events"]] == ["y", "z"]
+        assert "2 event(s) retained, 1 older dropped" in render_postmortem(bundle)
 
     def test_non_bundle_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not a post-mortem bundle"):
@@ -350,6 +330,26 @@ class TestPostmortem:
         (line,) = [ln for ln in text.splitlines() if ln.startswith("config: ")]
         assert "transport=memory" in line and "seed=5" in line
         assert "fault plan:" in text
+
+    def test_uncommitted_run_writes_bundle(self, tmp_path, fig3_like_system):
+        # Serializable with a complete audit, but 7 of 8 transactions
+        # exhaust their (zero) retries: the run failed, so it explains
+        # itself.
+        report = run_cluster_sync(
+            fig3_like_system,
+            rounds=4,
+            seed=7,
+            max_retries=0,
+            postmortem_dir=str(tmp_path / "pm"),
+        )
+        assert report.serializable and report.audit_complete
+        assert (report.committed, report.transactions) == (1, 8)
+        assert report.history_fingerprint.startswith("a3712aab")
+        assert report.outcome_fingerprint.startswith("79b9a50c")
+        assert report.postmortem == str(tmp_path / "pm")
+        loaded = load_postmortem(report.postmortem)
+        assert loaded["manifest"]["reason"] == "uncommitted"
+        assert "reason=uncommitted" in render_postmortem(report.postmortem)
 
     def test_clean_run_writes_nothing(self, tmp_path, contended_system):
         report = run_cluster_sync(

@@ -184,5 +184,5 @@ class TestValidation:
         with pytest.raises(ReproError):
             run_replicated_sync(transfer_system, wire_metrics=True, **knobs)
         assert not WIRE.metrics_enabled
-        assert WIRE.recorder is None
+        assert WIRE.event_log is None
         assert not WIRE.active

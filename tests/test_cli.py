@@ -602,6 +602,30 @@ class TestClusterCli:
         assert "grant" in out
         assert "cluster run:" in out
 
+    def test_failed_run_writes_postmortem_bundle(self, tmp_path, capsys):
+        # Serializable and fully audited, but 7 of 8 transactions run
+        # out of retries: the run exits 1, so it leaves a bundle too.
+        system = pathlib.Path(__file__).parents[1] / "examples/systems/fig3_like.sys"
+        bundle = tmp_path / "pm"
+        code = main(
+            [
+                "cluster", "run", str(system),
+                "--rounds", "4",
+                "--max-retries", "0",
+                "--seed", "7",
+                "--postmortem", str(bundle),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "retry-exhausted  7" in out
+        assert (bundle / "MANIFEST.json").is_file()
+        assert (bundle / "events.jsonl").stat().st_size > 0
+        assert main(["postmortem", str(bundle), "--tail", "3"]) == 0
+        rendered = capsys.readouterr().out
+        assert "reason=uncommitted" in rendered
+        assert "timeline: 512 event(s) retained" in rendered
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["cluster", "run", "nope.sys"]) == 2
 

@@ -52,7 +52,6 @@ def test_cluster_config_fields_are_exactly_these():
         "batch",
         "arrivals",
         "latency",
-        "recorder",
         "postmortem_dir",
         "replicas",
         "lease_ticks",

@@ -1010,8 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--codec",
         choices=("json", "binary"),
         default="json",
-        help="wire codec offered to every site via hello negotiation "
-        "(default json; binary falls back to json against old peers)",
+        help="wire codec every connection of the run sends with (default json)",
     )
     batch_group = cluster_run.add_mutually_exclusive_group()
     batch_group.add_argument(

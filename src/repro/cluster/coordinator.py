@@ -146,23 +146,7 @@ class _SiteClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters[request_id] = future
         await self.connection.send(protocol.request(kind, request_id, **fields))
-        if timeout is None:
-            return await future
         return await self.routed_reply(request_id, future, timeout)
-
-    async def negotiate(self, codec: protocol.WireCodec, *, timeout: int | None = None) -> None:
-        """Offer *codec* via a ``hello`` exchange; the connection
-        switches to it only if the site picks it.  A peer that predates
-        ``hello`` answers ``error`` and the connection stays on JSON —
-        mixed versions always interoperate.  JSON needs no exchange."""
-        if codec.name == protocol.JSON_CODEC.name:
-            return
-        try:
-            reply = await self.request("hello", timeout=timeout, codecs=[codec.name, "json"])
-        except TransportError:
-            return
-        if reply.get("status") == "hello" and reply.get("codec") in protocol.CODECS:
-            self.connection.codec = protocol.CODECS[reply["codec"]]
 
     async def request_batch(
         self,
@@ -232,38 +216,26 @@ class _SiteClient:
         await self.connection.close()
 
 
-async def _dial(
-    transport: Transport, address: int, codec: protocol.WireCodec, timeout: float | None
-) -> _SiteClient:
-    """Connect to *address* and negotiate *codec* on the fresh connection."""
-    client = _SiteClient(await transport.connect(address), address=address)
-    await client.negotiate(codec, timeout=timeout)
-    return client
+async def _dial(transport: Transport, address: int) -> _SiteClient:
+    """A client on a fresh connection to *address*."""
+    return _SiteClient(await transport.connect(address), address=address)
 
 
 class SiteClientPool:
-    """One persistent, codec-negotiated connection per site, shared by
-    every coordinator of a run.
+    """One persistent connection per site, shared by every coordinator
+    of a run.
 
     Replaces the per-coordinator (per-transaction) dial pattern: the
-    run opens each (pool, site) connection once, negotiates the codec
-    once, and every transaction's requests multiplex over it — request
-    ids are per-client, so replies route correctly, and the site keyes
-    its lock bookkeeping by (txn, entity), not by connection.  The
-    replicated path keeps per-coordinator clients (failover re-dials
-    are per-transaction decisions) and does not use the pool.
+    run opens each (pool, site) connection once, and every
+    transaction's requests multiplex over it — request ids are
+    per-client, so replies route correctly, and the site keyes its lock
+    bookkeeping by (txn, entity), not by connection.  The replicated
+    path keeps per-coordinator clients (failover re-dials are
+    per-transaction decisions) and does not use the pool.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        *,
-        codec: protocol.WireCodec = protocol.JSON_CODEC,
-        request_timeout: float | None = None,
-    ) -> None:
+    def __init__(self, transport: Transport) -> None:
         self.transport = transport
-        self.codec = codec
-        self.request_timeout = request_timeout
         self._dials: dict[int, asyncio.Task] = {}
 
     async def client(self, site: int) -> _SiteClient:
@@ -271,9 +243,7 @@ class SiteClientPool:
         if dial is None:
             # The dict entry is installed before the first await so
             # concurrent coordinators share one dial, not race N.
-            dial = asyncio.ensure_future(
-                _dial(self.transport, site, self.codec, self.request_timeout)
-            )
+            dial = asyncio.ensure_future(_dial(self.transport, site))
             self._dials[site] = dial
         try:
             return await asyncio.shield(dial)
@@ -309,7 +279,6 @@ class Coordinator:
         on_send=None,
         on_ack=None,
         resolver=None,
-        codec: protocol.WireCodec = protocol.JSON_CODEC,
         batch: bool = False,
         pool: SiteClientPool | None = None,
     ) -> None:
@@ -325,8 +294,6 @@ class Coordinator:
         #: when set, requests route to the site's current lease leader
         #: and a failed request re-resolves and replays idempotently.
         self.resolver = resolver
-        #: Codec offered to each site at connection time.
-        self.codec = codec
         #: Ship all currently-eligible same-site steps in one frame.
         self.batch = batch
         #: Run-shared connection pool; ignored on the resolver path,
@@ -435,7 +402,7 @@ class Coordinator:
             return client
         if client is not None:
             await client.close()
-        client = await _dial(self.transport, address, self.codec, self.request_timeout)
+        client = await _dial(self.transport, address)
         self._clients[site] = client
         return client
 

@@ -16,13 +16,10 @@ Two payload encodings exist, behind one :class:`WireCodec` interface:
 
 Because a JSON payload always starts with ``{`` and a binary payload
 always starts with :data:`BINARY_MAGIC`, :func:`decode_payload`
-auto-detects the codec per frame — a receiver never needs negotiation
-to *read*.  Negotiation exists so a **sender** never emits binary at a
-peer that cannot read it: a client opens a connection with a ``hello``
-request listing the codecs it would like to send, and the site answers
-with the one it picks (:func:`choose_codec`).  A peer that predates
-``hello`` answers ``error`` — the client then stays on JSON, which is
-exactly the mixed-version downgrade the tests pin.
+auto-detects the codec per frame, so a receiver reads either.  What a
+connection *sends* with is its transport's codec
+(:attr:`repro.cluster.transport.Transport.codec`), the same on every
+connection of a cluster.
 
 Requests carry an ``id`` the reply echoes (the coordinator routes
 replies by it); site-to-site messages (``probe``, ``resolve``) are
@@ -59,7 +56,6 @@ MAX_FRAME = 16 * 1024 * 1024
 
 #: Client-to-site request kinds (each gets a reply with the same id).
 REQUEST_KINDS = (
-    "hello",
     "lock",
     "unlock",
     "update",
@@ -399,15 +395,6 @@ def codec_named(name: str) -> WireCodec:
         ) from None
 
 
-def choose_codec(offered) -> WireCodec:
-    """The codec a site picks from a ``hello``'s *offered* list: the
-    first offered name it knows, falling back to JSON."""
-    for name in offered or ():
-        if name in CODECS:
-            return CODECS[name]
-    return JSON_CODEC
-
-
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
@@ -459,25 +446,3 @@ def reply(request_id: int, status: str, **fields) -> dict:
     message.update(fields)
     return message
 
-
-async def negotiate(connection, codec: WireCodec) -> WireCodec:
-    """Client side of the ``hello`` exchange on a fresh *connection*.
-
-    Sends a ``hello`` offering *codec* (JSON is always implied), reads
-    the site's answer, and points ``connection.codec`` at whatever both
-    ends agreed on.  A ``json`` preference needs no exchange.  A peer
-    that answers anything but a ``hello`` reply (an old site answers
-    ``error``) leaves the connection on JSON — mixed versions always
-    interoperate.  Returns the codec the connection will send with.
-    """
-    if codec.name == JSON_CODEC.name:
-        return JSON_CODEC
-    await connection.send(request("hello", 0, codecs=[codec.name, JSON_CODEC.name]))
-    answer = await connection.recv()
-    if (
-        isinstance(answer, dict)
-        and answer.get("status") == "hello"
-        and answer.get("codec") in CODECS
-    ):
-        connection.codec = CODECS[answer["codec"]]
-    return connection.codec

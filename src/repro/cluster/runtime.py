@@ -55,7 +55,6 @@ from .transport import (
     MemoryTransport,
     TcpTransport,
     Transport,
-    TransportError,
 )
 
 
@@ -219,24 +218,10 @@ async def _fetch_history(
     transport: Transport, site: int, timeout: float
 ) -> dict[str, list[str]] | None:
     """One-shot ``history`` request: the committed per-entity update
-    orders of *site*, or ``None`` when the site is unreachable or does
-    not answer within *timeout* seconds."""
-
-    async def fetch() -> dict[str, list[str]]:
-        connection = await transport.connect(site)
-        try:
-            await connection.send(protocol.request("history", 1))
-            reply = await connection.recv()
-        finally:
-            await connection.close()
-        if reply is None:
-            return {}
-        return reply.get("site_orders", {})
-
-    try:
-        return await asyncio.wait_for(fetch(), timeout)
-    except (asyncio.TimeoutError, TransportError):
-        return None
+    orders of *site*, or ``None`` when the site is unreachable, hangs
+    up or does not answer within *timeout* seconds."""
+    reply = await transport.ask(site, "history", timeout=timeout)
+    return None if reply is None else reply.get("site_orders", {})
 
 
 @dataclass(frozen=True)
@@ -250,11 +235,12 @@ class ClusterConfig:
     drops are injected, since a dropped request gets no reply.
     *wire_metrics* turns on the per-stage wire-latency histograms and
     byte counters (:data:`repro.obs.distributed.WIRE`) for this run.
-    *codec* (``"json"`` or ``"binary"``) is offered to every site at
-    connection time; *batch* ships each coordinator's eligible steps
-    per site in single pipelined frames.  Either choice changes the
-    wire format, not the outcome: runs stay deterministic on the
-    memory transport *per configuration*.
+    *codec* (``"json"`` or ``"binary"``) is what every connection of
+    the run sends with; the runner builds its transport with it, and a
+    ready *transport* must already use it.  *batch* ships each
+    coordinator's eligible steps per site in single pipelined frames.
+    Either choice changes the wire format, not the outcome: runs stay
+    deterministic on the memory transport *per configuration*.
 
     *arrivals* switches submission from closed-loop to **open-loop**:
     instead of *concurrency* clients each starting the next transaction
@@ -317,7 +303,9 @@ class ClusterConfig:
             raise ClusterError(
                 f"unknown transport {self.transport!r} (memory, tcp, or a Transport)"
             )
-        protocol.codec_named(self.codec)  # raises on an unknown codec name
+        codec = protocol.codec_named(self.codec)  # raises on an unknown codec name
+        if isinstance(self.transport, Transport) and self.transport.codec is not codec:
+            raise ClusterError(f"the ready transport does not send with codec {self.codec!r}")
         if self.replicas is not None:
             if self.replicas < 1:
                 raise ClusterError(f"need at least one replica per site, got {self.replicas}")
@@ -432,16 +420,12 @@ class SiteTopology(Topology):
             SiteServer(site, peers=self.sites, **self.server_knobs())
             for site in self.sites
         ]
-        self.pool = SiteClientPool(
-            transport,
-            codec=protocol.codec_named(config.codec),
-            request_timeout=config.request_timeout,
-        )
+        self.pool = SiteClientPool(transport)
         self.routing = {"pool": self.pool}
 
     async def fetch_history(self, site, timeout):
         if not self.servers[site - 1].running:
-            return {}
+            return None
         return await _fetch_history(self.transport, site, timeout)
 
     async def close(self) -> None:
@@ -453,7 +437,6 @@ async def _execute(workload: list[Transaction], topology: Topology) -> list[TxnO
     """Run one coordinator per *workload* instance: closed-loop behind
     a *concurrency*-wide gate, or open-loop at the *arrivals* ticks."""
     config, transport = topology.config, topology.transport
-    wire_codec = protocol.codec_named(config.codec)
     arrivals = config.arrivals
     gate = asyncio.Semaphore(config.concurrency)
 
@@ -465,7 +448,6 @@ async def _execute(workload: list[Transaction], topology: Topology) -> list[TxnO
             max_retries=config.max_retries,
             request_timeout=config.request_timeout,
             seed=config.seed,
-            codec=wire_codec,
             batch=config.batch,
             **topology.routing,
         )
@@ -508,7 +490,8 @@ async def _run(system: TransactionSystem, config: ClusterConfig) -> ClusterRepor
         transport = config.transport
         transport_name = type(transport).__name__
     else:
-        transport = MemoryTransport() if config.transport == "memory" else TcpTransport()
+        transport_class = MemoryTransport if config.transport == "memory" else TcpTransport
+        transport = transport_class(codec=protocol.codec_named(config.codec))
         transport_name = config.transport
     if config.latency is not None:
         transport = LatencyTransport(transport, config.latency)

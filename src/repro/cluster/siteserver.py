@@ -214,7 +214,6 @@ class SiteServer:
 
     #: Message kinds kept off the event timeline (pure plumbing).
     QUIET_KINDS = (
-        "hello",
         "history",
         "ping",
         "leader",
@@ -322,17 +321,6 @@ class SiteServer:
     # ------------------------------------------------------------------
     # Request handlers
     # ------------------------------------------------------------------
-    async def _on_hello(self, connection: Connection, message: dict) -> None:
-        """Codec negotiation: pick the first offered codec this site
-        knows and switch the connection's *send* direction to it.
-
-        The answer itself still goes out with the old (JSON) codec —
-        only frames after it use the agreed one; receiving needs no
-        agreement because payloads are self-describing."""
-        codec = protocol.choose_codec(message.get("codecs"))
-        await self._safe_send(connection, protocol.reply(message["id"], "hello", codec=codec.name))
-        connection.codec = codec
-
     async def _on_lock(self, connection: Connection, message: dict) -> None:
         txn = message["txn"]
         entity = message["entity"]
@@ -885,25 +873,20 @@ class SiteServer:
         if self._trace_ctx is not None:
             message["trace"] = self._trace_ctx
         await self._handle_probe(message)
-        # One encoding per codec, made at the first peer that uses it;
-        # each peer is still dialled before its send, in peer order.
-        frames: dict = {}
+        # One encoding for every peer, its cost charged to the first
+        # send; each peer is still dialled before its send, in order.
+        frame, sent, encode_ns = encode_frame(message, self.transport.codec)
         for peer in self.peers:
             connection = self._peer_connections.get(peer)
             if connection is None:
                 connection = await self._peer_connection(peer)
                 if connection is None:
                     continue
-            encoded = frames.get(connection.codec)
-            if encoded is None:
-                frame, sent, encode_ns = encode_frame(message, connection.codec)
-                frames[connection.codec] = frame, sent
-            else:
-                (frame, sent), encode_ns = encoded, 0
             try:
                 await connection.send_frame(frame, sent, encode_ns)
             except TransportError:
                 pass
+            encode_ns = 0
 
     def _on_probe(self, connection: Connection, message: dict):
         return self._handle_probe(message)

@@ -37,6 +37,10 @@ the transport-stage latency.  Otherwise a frame costs its codec and one
 mailbox hop.  A frame sent to several peers (a deadlock probe) is
 encoded once: :func:`encode_frame` builds it and
 :meth:`Connection.send_frame` ships it on each connection.
+
+A transport also decides how a site is asked: every connection it
+builds, client or server end, sends with its :attr:`Transport.codec`,
+and :meth:`Transport.ask` is the one one-shot request.
 """
 
 from __future__ import annotations
@@ -115,17 +119,15 @@ class Connection:
 
     ``peer`` labels the far (or serving) site for wire metrics;
     ``None`` when unknown.  ``codec`` is the payload encoding *this
-    end sends with* (receiving auto-detects per frame); it starts as
-    JSON and is repointed by ``hello`` negotiation
-    (:func:`repro.cluster.protocol.negotiate` client-side, the site's
-    ``_on_hello`` server-side).
+    end sends with* (receiving auto-detects per frame): the codec of
+    the transport that built the connection.
 
     A transport builds it from the connection's *inbox*, a *write*
     callable that hands one frame's bytes to the far end and a *hangup*
     callable that ends the stream there.
     """
 
-    def __init__(self, inbox: _Mailbox, write, hangup, peer: int | None = None) -> None:
+    def __init__(self, inbox: _Mailbox, write, hangup, codec, peer: int | None = None) -> None:
         self._inbox = inbox
         self._write = write
         self._hangup = hangup
@@ -136,7 +138,7 @@ class Connection:
         #: Pending while TCP flow control holds writes back.
         self._writable: asyncio.Future | None = None
         self.peer = peer
-        self.codec = protocol.JSON_CODEC
+        self.codec = codec
 
     async def send(self, message: dict) -> None:
         frame, message, encode_ns = encode_frame(message, self.codec)
@@ -185,6 +187,8 @@ class Transport:
 
     #: Whether message order is reproducible for a fixed seed.
     deterministic = False
+    #: What every connection this transport builds sends with.
+    codec: protocol.WireCodec = protocol.JSON_CODEC
 
     async def listen(self, site: int, handler) -> None:
         """Start serving *site*; *handler* is ``async f(connection)``
@@ -200,6 +204,26 @@ class Transport:
     async def close(self) -> None:
         raise NotImplementedError
 
+    async def ask(
+        self, address: int, kind: str, *, timeout: float | None, **fields
+    ) -> dict | None:
+        """One ``kind`` request to *address* on a fresh connection: the
+        reply, or ``None`` when the connect fails, the peer hangs up,
+        its reply does not decode or none comes within *timeout*
+        seconds.  The connection is always closed."""
+        request = protocol.request(kind, 1, **fields)
+        try:
+            connection = await self.connect(address)
+        except TransportError:
+            return None
+        try:
+            await connection.send(request)
+            return await asyncio.wait_for(connection.recv(), timeout)
+        except (asyncio.TimeoutError, TransportError, protocol.ProtocolError):
+            return None
+        finally:
+            await connection.close()
+
 
 # ----------------------------------------------------------------------
 # In-memory transport
@@ -209,7 +233,8 @@ class MemoryTransport(Transport):
 
     deterministic = True
 
-    def __init__(self) -> None:
+    def __init__(self, codec=protocol.JSON_CODEC) -> None:
+        self.codec = codec
         self._handlers: dict[int, object] = {}
         self._server_tasks: list[asyncio.Task] = []
 
@@ -224,10 +249,10 @@ class MemoryTransport(Transport):
             raise TransportError(f"no site {site} is listening")
         to_server, to_client = _Mailbox(), _Mailbox()
         client = Connection(
-            to_client, to_server.put, functools.partial(to_server.put, None), peer=site
+            to_client, to_server.put, functools.partial(to_server.put, None), self.codec, site
         )
         server = Connection(
-            to_server, to_client.put, functools.partial(to_client.put, None), peer=site
+            to_server, to_client.put, functools.partial(to_client.put, None), self.codec, site
         )
         task = asyncio.ensure_future(handler(server))
         self._server_tasks.append(task)
@@ -307,6 +332,10 @@ class LatencyTransport(Transport):
     def deterministic(self) -> bool:
         return self._inner.deterministic
 
+    @property
+    def codec(self) -> protocol.WireCodec:
+        return self._inner.codec
+
     def _delay(self, origin: str, destination: str):
         """What a connection awaits before each send (``None``: no
         delay between these regions)."""
@@ -342,9 +371,10 @@ class _FrameProtocol(asyncio.Protocol):
     the byte stream go to the connection's inbox, the stream's end puts
     ``None`` there, and flow control holds the connection's sends."""
 
-    def __init__(self, peer: int | None, on_connect=None) -> None:
+    def __init__(self, peer: int | None, on_connect=None, codec=protocol.JSON_CODEC) -> None:
         self._peer = peer
         self._on_connect = on_connect
+        self._codec = codec
         self._inbox = _Mailbox()
         self._buffer = bytearray()
         self._transport: asyncio.Transport | None = None
@@ -352,7 +382,9 @@ class _FrameProtocol(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self._transport = transport
-        self.connection = Connection(self._inbox, transport.write, transport.close, peer=self._peer)
+        self.connection = Connection(
+            self._inbox, transport.write, transport.close, self._codec, self._peer
+        )
         if self._on_connect is not None:
             self._on_connect(self.connection)
 
@@ -401,15 +433,19 @@ class TcpTransport(Transport):
     map are assigned ``127.0.0.1`` with an ephemeral port at
     :meth:`listen` time, and the chosen port is published back into
     ``self.addresses`` — the in-process benchmark cluster relies on
-    this.  One tick of :meth:`sleep` is :data:`TICK_SECONDS`.
+    this.  *codec* is what every connection, dialled or accepted, sends
+    with.  One tick of :meth:`sleep` is :data:`TICK_SECONDS`.
     :meth:`close` stops listening, closes every connection it accepted
     and waits for their handlers.
     """
 
     deterministic = False
 
-    def __init__(self, addresses: dict[int, tuple[str, int]] | None = None) -> None:
+    def __init__(
+        self, addresses: dict[int, tuple[str, int]] | None = None, *, codec=protocol.JSON_CODEC
+    ) -> None:
         self.addresses: dict[int, tuple[str, int]] = dict(addresses or {})
+        self.codec = codec
         self._servers: list[asyncio.base_events.Server] = []
         #: Handler task -> the accepted connection it serves.
         self._accepted: dict[asyncio.Task, Connection] = {}
@@ -423,7 +459,7 @@ class TcpTransport(Transport):
             task.add_done_callback(self._handler_done)
 
         server = await asyncio.get_running_loop().create_server(
-            lambda: _FrameProtocol(site, serve), host, port
+            lambda: _FrameProtocol(site, serve, self.codec), host, port
         )
         bound = server.sockets[0].getsockname()
         self.addresses[site] = (bound[0], bound[1])
@@ -449,7 +485,7 @@ class TcpTransport(Transport):
             raise TransportError(f"no address for site {site} (known: {sorted(self.addresses)})")
         try:
             _, frames = await asyncio.get_running_loop().create_connection(
-                lambda: _FrameProtocol(site), *address
+                lambda: _FrameProtocol(site, codec=self.codec), *address
             )
         except (ConnectionError, OSError) as exc:
             raise TransportError(f"cannot reach site {site} at {address}: {exc}") from None

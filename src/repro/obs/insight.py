@@ -432,30 +432,13 @@ class ClusterStatus:
 async def probe_site(transport, site: int, *, timeout: float = 5.0) -> dict:
     """Send one ``status`` request to *site* over *transport* and
     return the payload (or ``{"site": site, "error": ...}``)."""
-    import asyncio
-
-    from ..cluster import protocol
-
-    try:
-        connection = await transport.connect(site)
-    except Exception as exc:
-        return {"site": site, "error": str(exc)}
-    try:
-        await connection.send(protocol.request("status", 1))
-        reply = await asyncio.wait_for(connection.recv(), timeout)
-        if not isinstance(reply, dict):
-            return {"site": site, "error": "connection closed mid-probe"}
-        reply.pop("id", None)
-        reply.pop("wire", None)
-        reply.setdefault("site", site)
-        return reply
-    except Exception as exc:
-        return {"site": site, "error": str(exc) or type(exc).__name__}
-    finally:
-        try:
-            await connection.close()
-        except Exception:
-            pass
+    reply = await transport.ask(site, "status", timeout=timeout)
+    if reply is None:
+        return {"site": site, "error": "no status reply"}
+    reply.pop("id", None)
+    reply.pop("wire", None)
+    reply.setdefault("site", site)
+    return reply
 
 
 async def probe_sites(

@@ -18,9 +18,6 @@ same resolver drives memory-transport tests and TCP deployments.
 
 from __future__ import annotations
 
-import asyncio
-
-from ..cluster import protocol
 from ..cluster.transport import Transport, TransportError
 from .server import ELECTION_TIMEOUT
 
@@ -90,15 +87,5 @@ class LeaderResolver:
 
     async def _query(self, address: int, suspect: int | None) -> dict | None:
         """One-shot ``leader`` request; ``None`` on any failure."""
-        try:
-            connection = await self.transport.connect(address)
-        except TransportError:
-            return None
-        try:
-            fields = {"suspect": suspect} if suspect is not None else {}
-            await connection.send(protocol.request("leader", 1, **fields))
-            return await asyncio.wait_for(connection.recv(), QUERY_TIMEOUT)
-        except (asyncio.TimeoutError, TransportError):
-            return None
-        finally:
-            await connection.close()
+        fields = {"suspect": suspect} if suspect is not None else {}
+        return await self.transport.ask(address, "leader", timeout=QUERY_TIMEOUT, **fields)

@@ -535,20 +535,11 @@ class ReplicaServer(SiteServer):
     async def _one_shot(
         self, address: int, kind: str, *, timeout: float, **fields
     ) -> dict | None:
-        """Connect, ask once, hang up; ``None`` on any failure."""
-        try:
-            connection = await self.transport.connect(address)
-        except TransportError:
-            return None
-        try:
-            if self._trace_ctx is not None and "trace" not in fields:
-                fields["trace"] = self._trace_ctx
-            await connection.send(protocol.request(kind, 1, **fields))
-            return await asyncio.wait_for(connection.recv(), timeout)
-        except (asyncio.TimeoutError, TransportError):
-            return None
-        finally:
-            await connection.close()
+        """:meth:`Transport.ask` under this replica's trace context;
+        ``None`` on any failure."""
+        if self._trace_ctx is not None and "trace" not in fields:
+            fields["trace"] = self._trace_ctx
+        return await self.transport.ask(address, kind, timeout=timeout, **fields)
 
     # ------------------------------------------------------------------
     # Record replay (follower side)

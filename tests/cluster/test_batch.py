@@ -8,11 +8,10 @@ Three layers of the batching/binary feature, pinned independently:
   the retry's id), and deadlock probes launched from edges a batch
   created;
 * the **codecs** — a hypothesis property that every protocol-shaped
-  message round-trips identically through JSON and binary framing, and
-  the mixed-version ``hello`` negotiation (a peer that predates it
-  answers ``error`` and the client stays on JSON);
+  message round-trips identically through JSON and binary framing;
 * the **runtime** — batched binary runs stay deterministic on the
-  memory transport and commit partial-order workloads serializably.
+  memory transport, send exactly the frames a JSON run sends, and
+  commit partial-order workloads serializably.
 """
 
 import asyncio
@@ -25,6 +24,7 @@ from repro.cluster import protocol, run_cluster_sync
 from repro.cluster.protocol import BINARY_CODEC, JSON_CODEC
 from repro.cluster.siteserver import SiteServer
 from repro.cluster.transport import MemoryTransport
+from repro.replica import run_replicated_sync
 from repro.workloads.random_transactions import random_system
 
 
@@ -263,58 +263,6 @@ class TestCodecCompatibility:
         )
 
 
-class _ScriptedConnection:
-    """A fake peer: records sends, plays back scripted replies."""
-
-    def __init__(self, replies):
-        self.codec = JSON_CODEC
-        self.sent = []
-        self.replies = list(replies)
-
-    async def send(self, message):
-        self.sent.append(message)
-
-    async def recv(self):
-        return self.replies.pop(0)
-
-
-class TestNegotiation:
-    def test_json_preference_needs_no_exchange(self):
-        connection = _ScriptedConnection([])
-        agreed = run(protocol.negotiate(connection, JSON_CODEC))
-        assert agreed is JSON_CODEC
-        assert connection.sent == []
-
-    def test_old_peer_error_reply_stays_on_json(self):
-        # Mixed versions: a site that predates "hello" answers it with
-        # an "error" reply; the binary-capable client must keep sending
-        # JSON rather than emit frames the old peer cannot read.
-        connection = _ScriptedConnection(
-            [protocol.reply(0, "error", reason="unknown request kind 'hello'")]
-        )
-        agreed = run(protocol.negotiate(connection, BINARY_CODEC))
-        assert agreed is JSON_CODEC
-        assert connection.codec is JSON_CODEC
-        assert connection.sent[0]["type"] == "hello"
-        assert connection.sent[0]["codecs"] == ["binary", "json"]
-
-    def test_live_site_agrees_to_binary(self):
-        async def scenario():
-            transport, server = await _boot()
-            connection = await transport.connect(1)
-            agreed = await protocol.negotiate(connection, BINARY_CODEC)
-            pong = None
-            if agreed is BINARY_CODEC:
-                await connection.send(protocol.request("ping", 1))
-                pong = await connection.recv()
-            await transport.close()
-            return agreed, pong
-
-        agreed, pong = run(scenario())
-        assert agreed is BINARY_CODEC
-        assert pong["status"] == "pong"
-
-
 # ----------------------------------------------------------------------
 # Runtime contracts with batching on
 # ----------------------------------------------------------------------
@@ -354,6 +302,45 @@ class TestBatchedRuntime:
             )
             assert binary_run.outcome_fingerprint == json_run.outcome_fingerprint
             assert binary_run.history_fingerprint == json_run.history_fingerprint
+            assert binary_run.messages == json_run.messages
+
+    def test_codec_never_changes_the_replicated_outcome(self, deadlock_prone_system):
+        # The replicated leg: leader queries, log shipping and every
+        # per-coordinator dial carry the run's codec and nothing more.
+        for batch in (False, True):
+            json_run, binary_run = (
+                run_replicated_sync(
+                    deadlock_prone_system,
+                    replicas=3,
+                    rounds=3,
+                    seed=11,
+                    max_retries=8,
+                    codec=codec,
+                    batch=batch,
+                )
+                for codec in ("json", "binary")
+            )
+            assert binary_run.outcome_fingerprint == json_run.outcome_fingerprint
+            assert binary_run.history_fingerprint == json_run.history_fingerprint
+            assert binary_run.messages == json_run.messages
+
+    def test_binary_run_sends_no_json(self, deadlock_prone_system, monkeypatch):
+        # Every frame of a binary run — requests, replies, probes,
+        # resolves, leader queries, log shipping, history — is binary:
+        # a JSON encode anywhere would raise.
+        def refuse(self, message):
+            raise AssertionError(f"JSON frame sent: {message.get('type')}")
+
+        monkeypatch.setattr(protocol.JsonCodec, "encode_payload", refuse)
+        plain = run_cluster_sync(
+            deadlock_prone_system, rounds=3, seed=11, max_retries=8, codec="binary"
+        )
+        replicated = run_replicated_sync(
+            deadlock_prone_system, replicas=3, rounds=3, seed=11, max_retries=8, codec="binary"
+        )
+        for report in (plain, replicated):
+            assert report.committed == report.transactions
+            assert report.serializable and report.audit_complete
 
     def test_partial_order_systems_commit_batched(self):
         # Batched shipping must respect poset predecessors across

@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ClusterError, run_cluster_sync
 from repro.cluster.runtime import run_cluster
 from repro.cluster.siteserver import SiteServer
+from repro.cluster.transport import MemoryTransport
 from repro.errors import ReproError
 from repro.faults import FaultPlan, GrantDelay, MessageDrop, SiteCrash
 from repro.obs.distributed import WIRE
@@ -113,19 +114,20 @@ class TestDeterminism:
         assert first.history_fingerprint == second.history_fingerprint
 
 
+#: (batch, history, outcomes, messages) of the transfer pair at seed 14.
+TRANSFER_PINS = [
+    (False, "7082f594c9fd7e9c", "73ef7f1cb86f4e0e", 4217),
+    (True, "43f1640325abfc8a", "ad48cac376bb65fa", 2729),
+]
+
+
 class TestGoldenOracle:
     """The transfer pair at the benchmark's seed, pinned bit for bit:
     the same cases ``benchmarks/suite/expected.json`` holds
     (``transfer-mem``), so a runner refactor that moves a fingerprint
     or a message count fails tier-1, not only the benchmark."""
 
-    @pytest.mark.parametrize(
-        "batch, history, outcomes, messages",
-        [
-            (False, "7082f594c9fd7e9c", "73ef7f1cb86f4e0e", 4217),
-            (True, "43f1640325abfc8a", "ad48cac376bb65fa", 2729),
-        ],
-    )
+    @pytest.mark.parametrize("batch, history, outcomes, messages", TRANSFER_PINS)
     def test_transfer_pair_is_pinned(
         self, deadlock_prone_system, batch, history, outcomes, messages
     ):
@@ -136,6 +138,25 @@ class TestGoldenOracle:
             max_retries=16,
             concurrency=4,
             seed=14,
+        )
+        assert report.history_fingerprint[:16] == history
+        assert report.outcome_fingerprint[:16] == outcomes
+        assert report.messages == messages
+
+    @pytest.mark.parametrize("batch, history, outcomes, messages", TRANSFER_PINS)
+    def test_binary_codec_sends_the_same_frames(
+        self, deadlock_prone_system, batch, history, outcomes, messages
+    ):
+        # The codec is framing only: a binary run delivers the JSON
+        # run's messages in the JSON run's order.
+        report = run_cluster_sync(
+            deadlock_prone_system,
+            rounds=50,
+            batch=batch,
+            max_retries=16,
+            concurrency=4,
+            seed=14,
+            codec="binary",
         )
         assert report.history_fingerprint[:16] == history
         assert report.outcome_fingerprint[:16] == outcomes
@@ -226,6 +247,22 @@ class TestAuditCompleteness:
         assert not report.audit_complete
         assert report.to_dict()["audit_complete"] is False
 
+    def test_history_hang_up_flags_site_unreachable(
+        self, deadlock_prone_system, monkeypatch
+    ):
+        # A site that hangs up on ``history`` answered nothing: the
+        # audit ran without its site orders and must say so.
+        from repro.cluster import protocol
+        from repro.cluster.siteserver import SiteServer
+
+        async def refuse_history(self, connection, message):
+            raise protocol.ProtocolError("history refused")
+
+        monkeypatch.setattr(SiteServer, "_on_history", refuse_history)
+        report = run_cluster_sync(deadlock_prone_system, seed=0, rounds=2)
+        assert report.unreachable_sites == [1, 2]
+        assert not report.audit_complete
+
     def test_lost_commit_reported_as_partial_commit(
         self, deadlock_prone_system, monkeypatch
     ):
@@ -273,6 +310,10 @@ class TestConfiguration:
         assert not WIRE.metrics_enabled
         assert WIRE.event_log is None
         assert not WIRE.active
+
+    def test_ready_transport_must_use_the_configured_codec(self, deadlock_prone_system):
+        with pytest.raises(ClusterError, match="codec"):
+            run_cluster_sync(deadlock_prone_system, transport=MemoryTransport(), codec="binary")
 
     def test_unvetted_mode(self, deadlock_prone_system):
         report = run_cluster_sync(deadlock_prone_system, vet=False, seed=0)

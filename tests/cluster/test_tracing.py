@@ -31,6 +31,7 @@ class _CapturingTransport(Transport):
     def __init__(self, inner: Transport) -> None:
         self._inner = inner
         self.deterministic = inner.deterministic
+        self.codec = inner.codec
         self.received: list[dict] = []
 
     def _tap(self, connection):
@@ -61,15 +62,25 @@ class _CapturingTransport(Transport):
         await self._inner.close()
 
 
-def _captured_run(system, transport="memory", **kwargs):
+def _captured_run(system, transport="memory", codec="json", **kwargs):
     """Run on a capturing *transport*; returns (report, frames)."""
 
     async def scenario():
-        inner = MemoryTransport() if transport == "memory" else TcpTransport()
+        wire_codec = protocol.codec_named(codec)
+        if transport == "memory":
+            inner = MemoryTransport(wire_codec)
+        else:
+            inner = TcpTransport(codec=wire_codec)
         capture = _CapturingTransport(inner)
         try:
             report = await run_cluster(
-                system, transport=capture, rounds=1, seed=3, max_retries=16, **kwargs
+                system,
+                transport=capture,
+                rounds=1,
+                seed=3,
+                max_retries=16,
+                codec=codec,
+                **kwargs,
             )
         finally:
             await capture.close()

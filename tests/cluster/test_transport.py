@@ -12,6 +12,7 @@ frame moves every one of them.
 
 import asyncio
 import gc
+import socket
 import warnings
 
 import pytest
@@ -227,6 +228,86 @@ class TestMemoryMailbox:
             return (await server.recv())["id"], await server.recv()
 
         assert _mailbox_scenario(body) == (1, None)
+
+
+async def _answer(connection):
+    message = await connection.recv()
+    await connection.send(protocol.reply(message["id"], "pong"))
+
+
+async def _hang_up(connection):
+    await connection.recv()
+    await connection.close()
+
+
+async def _stay_silent(connection):
+    await connection.recv()
+
+
+async def _answer_garbage(connection):
+    await connection.recv()
+    connection._write(b"\x00\x00\x00\x01?")  # a frame whose payload does not decode
+
+
+def _unused_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.mark.parametrize("make", [MemoryTransport, TcpTransport], ids=["memory", "tcp"])
+class TestAsk:
+    """``Transport.ask``: one request on a fresh connection, the reply
+    or ``None``, and the asker's end closed either way."""
+
+    @staticmethod
+    def _ask(make, handler, timeout=5.0):
+        async def scenario():
+            transport = make()
+            closed = asyncio.Event()
+
+            async def serve(connection):
+                await handler(connection)
+                while await connection.recv() is not None:
+                    pass
+                closed.set()
+
+            await transport.listen(1, serve)
+            try:
+                reply = await transport.ask(1, "ping", timeout=timeout)
+                await asyncio.wait_for(closed.wait(), 5.0)
+            finally:
+                await transport.close()
+            return reply
+
+        return asyncio.run(scenario())
+
+    def test_a_reply_comes_back(self, make):
+        reply = self._ask(make, _answer)
+        assert reply["status"] == "pong"
+        assert reply["id"] == 1
+
+    def test_a_hang_up_is_none(self, make):
+        assert self._ask(make, _hang_up) is None
+
+    def test_an_undecodable_reply_is_none(self, make):
+        assert self._ask(make, _answer_garbage) is None
+
+    def test_silence_past_the_timeout_is_none(self, make):
+        assert self._ask(make, _stay_silent, timeout=0.05) is None
+
+    def test_nothing_listening_is_none(self, make):
+        async def scenario():
+            if make is TcpTransport:
+                transport = TcpTransport({1: ("127.0.0.1", _unused_port())})
+            else:
+                transport = make()
+            try:
+                return await transport.ask(1, "ping", timeout=5.0)
+            finally:
+                await transport.close()
+
+        assert asyncio.run(scenario()) is None
 
 
 class TestTcpTransport:

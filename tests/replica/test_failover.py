@@ -14,12 +14,7 @@ from repro.replica import (
 
 async def _ask(transport, address, kind, **fields):
     """One-shot request/reply against a replica."""
-    connection = await transport.connect(address)
-    try:
-        await connection.send(protocol.request(kind, 1, **fields))
-        return await asyncio.wait_for(connection.recv(), 5.0)
-    finally:
-        await connection.close()
+    return await transport.ask(address, kind, timeout=5.0, **fields)
 
 
 class TestLeaderKillRun:
@@ -53,8 +48,8 @@ class TestLeaderKillRun:
     ):
         # Batched steps and binary frames must compose with failover: a
         # batch refused by a demoted leader (or lost with it) is
-        # replayed step-by-step through the retry path, and codec
-        # negotiation repeats against the new leader.
+        # replayed step-by-step through the retry path, and the dial to
+        # the new leader sends binary from its first frame.
         report = run_replicated_sync(
             transfer_system,
             replicas=3,

@@ -126,6 +126,22 @@ class TestGoldenOracle:
         assert report.messages == messages
         assert report.replicas == replicas
 
+    def test_binary_codec_sends_the_same_frames(self, transfer_system):
+        # Each coordinator dials its own replica connections, so any
+        # per-dial codec exchange would show in the message count.
+        report = run_replicated_sync(
+            transfer_system,
+            replicas=3,
+            rounds=25,
+            max_retries=16,
+            concurrency=4,
+            seed=14,
+            codec="binary",
+        )
+        assert report.history_fingerprint[:16] == "66224cf91e8aa1a6"
+        assert report.outcome_fingerprint[:16] == "fb4ce430d51548ed"
+        assert report.messages == 5689
+
     def test_batched_transfer_pair_is_pinned(self, transfer_system):
         # The cell neither the suite nor the cases above cover: batch
         # frames (inline grants, parked continuations) through replica

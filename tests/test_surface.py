@@ -14,7 +14,7 @@ import pytest
 
 from repro.arena import run_arena, run_cell
 from repro.cluster import PEER_KINDS, REQUEST_KINDS, ClusterConfig, Gateway, TcpTransport
-from repro.cluster.coordinator import Coordinator
+from repro.cluster.coordinator import Coordinator, SiteClientPool
 from repro.cluster.siteserver import SiteServer
 from repro.replica import LeaderResolver, ReplicaServer
 from repro.sim.engine import SimulationEngine
@@ -72,6 +72,15 @@ def test_replica_server_keeps_only_the_election_timeout():
     # replication timeout is a constant.
     parameters = set(inspect.signature(ReplicaServer).parameters)
     assert parameters & REMOVED_SETTINGS == {"election_timeout"}
+
+
+def test_the_transport_owns_the_codec():
+    # No hello exchange: a connection sends with its transport's codec,
+    # so neither the coordinator nor the pool picks one, and the pool
+    # sends no request that needs a timeout.
+    assert "hello" not in REQUEST_KINDS
+    assert "codec" not in inspect.signature(Coordinator).parameters
+    assert not {"codec", "request_timeout"} & set(inspect.signature(SiteClientPool).parameters)
 
 
 def _handled_kinds() -> set[str]:

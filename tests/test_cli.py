@@ -836,3 +836,54 @@ class TestArenaCli:
             return payload
 
         assert snapshot() == snapshot()
+
+
+class TestCountFlags:
+    """Counts are non-negative and a replica group has at least one
+    member: any other value is a usage error (exit 2) before the
+    command runs."""
+
+    @staticmethod
+    def assert_usage_error(argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_negative_limit(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"span": f"s{i}", "id": i, "pid": 1,
+                            "start_ns": 0, "dur_ns": 100 - i}) + "\n"
+                for i in range(14)
+            )
+        )
+        self.assert_usage_error(
+            ["trace-report", str(path), "--limit", "-2"], capsys
+        )
+
+    def test_negative_tail(self, tmp_path, capsys):
+        from repro.obs.events import EventLog
+        from repro.obs.insight import dump_postmortem
+
+        events = EventLog()
+        events.emit("grant", transaction="T1", entity="x", site=1)
+        bundle = dump_postmortem(tmp_path / "b", event_log=events, reason="r")
+        self.assert_usage_error(["postmortem", bundle, "--tail", "-3"], capsys)
+
+    @pytest.mark.parametrize("replicas", ["0", "-2"])
+    def test_run_needs_a_replica(self, replicas, capsys):
+        self.assert_usage_error(
+            ["cluster", "run", "examples/systems/transfer_2pl.sys",
+             "--replicas", replicas],
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--replicas", "0"], ["--replicas", "3", "--replica-index", "-1"]],
+        ids=["no-replicas", "negative-index"],
+    )
+    def test_serve_rejects_bad_replica_flags(self, flags, capsys):
+        self.assert_usage_error(["cluster", "serve", "--site", "1", *flags], capsys)

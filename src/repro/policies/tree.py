@@ -97,10 +97,7 @@ def random_tree_transaction(
     walk_length: int = 4,
 ) -> Transaction:
     """Generate a totally ordered transaction obeying the tree protocol:
-    a random root-to-descendant walk, crab-style — lock the child while
-    still holding the parent, then release the parent:
-
-        ``L p0, p0, L p1, U p0, p1, L p2, U p1, p2, ..., U pk``
+    a random root-to-descendant walk, crab-style (:func:`crab_walk`).
 
     Total order (explicit precedences between consecutive steps across
     sites) keeps the dynamic protocol meaningful for the unique
@@ -108,7 +105,6 @@ def random_tree_transaction(
     ``D`` on their shared path prefix, so tree-protocol systems are safe
     by Theorem 1 — the non-two-phase safe family of the test suite.
     """
-    builder = TransactionBuilder(name, database)
     path = [tree.root]
     cursor = tree.root
     for _ in range(walk_length - 1):
@@ -119,15 +115,26 @@ def random_tree_transaction(
             break
         cursor = rng.choice(children)
         path.append(cursor)
+    return crab_walk(name, database, path)
 
+
+def crab_walk(
+    name: str, database: DistributedDatabase, path: Sequence[str]
+) -> Transaction:
+    """The totally ordered transaction that walks *path* (each node a
+    child of the one before) crab-style — lock the child while still
+    holding the parent, then release the parent:
+
+        ``L p0, p0, L p1, U p0, p1, L p2, U p1, p2, ..., U pk``
+    """
+    builder = TransactionBuilder(name, database)
     previous: Step | None = None
 
-    def emit(step: Step) -> Step:
+    def emit(step: Step) -> None:
         nonlocal previous
         if previous is not None:
             builder.precede(previous, step)
         previous = step
-        return step
 
     emit(builder.lock(path[0]))
     emit(builder.update(path[0]))

@@ -53,8 +53,9 @@ import random
 from dataclasses import dataclass, field
 
 from ..core.schedule import TransactionSystem
-from ..core.transaction import Transaction, TransactionBuilder
+from ..core.transaction import Transaction
 from ..errors import TrafficSpecError
+from ..policies.tree import crab_walk
 from .random_transactions import random_database, random_transaction
 
 #: Locking policies the generator can impose on a workload.
@@ -529,25 +530,7 @@ def _tree_transaction(
         )
         cursor = picked[0]
         path.append(cursor)
-
-    builder = TransactionBuilder(name, database)
-    previous = None
-
-    def emit(step):
-        nonlocal previous
-        if previous is not None:
-            builder.precede(previous, step)
-        previous = step
-        return step
-
-    emit(builder.lock(path[0]))
-    emit(builder.update(path[0]))
-    for index in range(1, len(path)):
-        emit(builder.lock(path[index]))
-        emit(builder.unlock(path[index - 1]))
-        emit(builder.update(path[index]))
-    emit(builder.unlock(path[-1]))
-    return builder.build()
+    return crab_walk(name, database, path)
 
 
 def _vetted_instances(

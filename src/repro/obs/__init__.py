@@ -19,44 +19,32 @@ switched off:
 
 :mod:`~repro.obs.distributed` carries all three across process
 boundaries for the cluster runtime: trace contexts ride inside
-protocol messages, transports stamp frames for the per-stage
-wire-latency histograms, and a collector merges per-process trace
-files into one causal tree per transaction.
+protocol messages, and transports stamp frames for the per-stage
+wire-latency histograms.
 
-:mod:`~repro.obs.log` funnels the CLI's human-readable output through
-one verbosity-aware helper (with a JSON-lines formatter option), and
-:mod:`~repro.obs.report` turns exported traces into summaries.
+:mod:`~repro.obs.insight` is what a live cluster keeps beyond that:
+per-entity contention tallies, the ``status`` introspection plane with
+global wait-for stitching, and the post-mortem bundle format (a run's
+bounded event log, dumped when it ends badly).
 
-:mod:`~repro.obs.insight` is the production tier: post-mortem
-bundles (a run's bounded event log, dumped when it ends badly), the
-``status`` introspection plane with global wait-for stitching, and
-per-entity contention analytics.
+:mod:`~repro.obs.report` is the one offline reader of what a run left
+on disk: ``repro trace-report`` merges per-process trace files into
+the top-spans table, one causal tree per transaction and the
+contention replay of lock-wait spans; ``repro postmortem`` renders a
+bundle.  :mod:`~repro.obs.log` funnels the CLI's human-readable output
+through one verbosity-aware helper (with a JSON-lines formatter option).
 """
 
-from .distributed import (
-    LATENCY_BUCKETS,
-    STAGES,
-    TraceTree,
-    WIRE,
-    WireObserver,
-    merge_traces,
-    new_trace_id,
-    remote_span,
-    stage_rows,
-    trace_trees,
-)
+from .distributed import LATENCY_BUCKETS, STAGES, WIRE, WireObserver, new_trace_id, remote_span
 from .events import EventLog, SimEvent
 from .insight import (
     ClusterStatus,
     ContentionTally,
-    contention_from_records,
     deadlock_cycles,
     dump_postmortem,
     load_postmortem,
     probe_site,
     probe_sites,
-    render_contention,
-    render_postmortem,
     wait_for_graph,
 )
 from .metrics import (
@@ -68,12 +56,17 @@ from .metrics import (
     get_registry,
 )
 from .report import (
+    TraceTree,
     aggregate,
-    load_trace,
+    contention_from_records,
+    merge_traces,
+    render_contention,
     render_distributed,
+    render_postmortem,
     render_table,
-    summarize,
+    stage_rows,
     summarize_files,
+    trace_trees,
 )
 from .trace import (
     NULL_SPAN,
@@ -117,7 +110,6 @@ __all__ = [
     "dump_postmortem",
     "get_registry",
     "load_postmortem",
-    "load_trace",
     "merge_traces",
     "new_trace_id",
     "probe_site",
@@ -132,7 +124,6 @@ __all__ = [
     "stage_rows",
     "start_tracing",
     "stop_tracing",
-    "summarize",
     "summarize_files",
     "trace_path",
     "trace_trees",

@@ -50,12 +50,12 @@ hold          grant to unlock/release of one entity's lock
 ========      ==========================================================
 
 **Merge model.**  Each process traces into its own JSONL file; the
-collector (:func:`merge_traces` + :func:`trace_trees`) concatenates
-the files and groups spans by ``trace_id``, resolving parents by
-``(pid, span_id)`` so remote links land on the right span.  ``repro
-trace-report FILE [FILE ...]`` renders the result: slowest-transaction
-trees, a per-stage percentile table (:func:`stage_rows`), and
-election/failover annotations from ``replica.*`` spans.
+offline reader (:mod:`repro.obs.report`) concatenates the files and
+groups spans by ``trace_id``, resolving parents by ``(pid, span_id)``
+so remote links land on the right span.  ``repro trace-report FILE
+[FILE ...]`` renders the result: slowest-transaction trees, a
+per-stage percentile table, and election/failover annotations from
+``replica.*`` spans.
 
 Stamps, stage metrics, spans and wire events are all off by default.
 """
@@ -67,7 +67,6 @@ import os
 import time
 from typing import Any
 
-from .. import stats
 from . import trace
 from .metrics import REGISTRY
 
@@ -357,161 +356,3 @@ def transport_ns(message: dict) -> int | None:
         if isinstance(send_ns, int) and isinstance(recv_ns, int):
             return max(0, recv_ns - send_ns)
     return None
-
-
-# ----------------------------------------------------------------------
-# The collector: merge per-process traces, build causal trees
-# ----------------------------------------------------------------------
-
-
-def merge_traces(paths, *, on_skip=None) -> list[dict[str, Any]]:
-    """Concatenate the records of several per-process JSONL trace
-    files.  Malformed or truncated lines — a crash-killed producer
-    leaves a partial final line — are skipped, invoking *on_skip(path,
-    lineno, reason)* when given, so post-mortem bundles always load."""
-    from .report import load_trace
-
-    records: list[dict[str, Any]] = []
-    for path in paths:
-        records.extend(load_trace(str(path), strict=False, on_skip=on_skip))
-    return records
-
-
-class TraceTree:
-    """The spans of one ``trace_id``, linked into a causal tree."""
-
-    def __init__(self, trace_id: str, spans: list[dict[str, Any]]) -> None:
-        self.trace_id = trace_id
-        self.spans = spans
-        self._index = {(s.get("pid", 0), s.get("id")): s for s in spans}
-        self._children: dict[tuple, list[dict]] = {}
-        self.roots: list[dict[str, Any]] = []
-        for span in spans:
-            parent = span.get("parent")
-            if parent is None:
-                self.roots.append(span)
-                continue
-            key = (span.get("parent_pid", span.get("pid", 0)), parent)
-            if key in self._index:
-                self._children.setdefault(key, []).append(span)
-            else:
-                # The parent was traced by a process whose file was not
-                # merged in (or tracing started mid-run): surface the
-                # orphan as a root rather than dropping it.
-                self.roots.append(span)
-
-    @property
-    def root(self) -> dict[str, Any] | None:
-        """The tree's single root when it has exactly one."""
-        return self.roots[0] if len(self.roots) == 1 else None
-
-    @property
-    def connected(self) -> bool:
-        """Does every span hang off one root?"""
-        return len(self.roots) == 1
-
-    @property
-    def duration_ns(self) -> int:
-        root = self.root
-        if root is not None:
-            return root["dur_ns"]
-        return max((s["dur_ns"] for s in self.spans), default=0)
-
-    @property
-    def name(self) -> str:
-        root = self.root
-        attrs = (root or {}).get("attrs", {})
-        return str(attrs.get("txn", self.trace_id))
-
-    def children_of(self, span: dict[str, Any]) -> list[dict[str, Any]]:
-        """Direct children of *span*, in start order per process."""
-        key = (span.get("pid", 0), span.get("id"))
-        kids = self._children.get(key, [])
-        return sorted(kids, key=lambda s: (s.get("pid", 0), s.get("start_ns", 0)))
-
-    def stage_totals(self) -> dict[str, int]:
-        """Summed per-stage nanoseconds over the tree's span attrs."""
-        totals: dict[str, int] = {}
-        for span in self.spans:
-            for stage in STAGES:
-                value = span.get("attrs", {}).get(f"{stage}_ns")
-                if isinstance(value, (int, float)):
-                    totals[stage] = totals.get(stage, 0) + int(value)
-        return totals
-
-    def render(self, *, max_spans: int = 40) -> list[str]:
-        """Indented one-line-per-span rendering of the tree."""
-        lines: list[str] = []
-
-        def visit(span: dict[str, Any], depth: int) -> None:
-            if len(lines) >= max_spans:
-                return
-            attrs = span.get("attrs", {})
-            extras = " ".join(
-                f"{key}={attrs[key]}"
-                for key in ("entity", "site", "status", "result", "outcome")
-                if key in attrs
-            )
-            lines.append(
-                "  " * depth
-                + f"{span['span']}  {span['dur_ns'] / 1e6:.3f} ms"
-                + f"  [pid {span.get('pid', 0)}]"
-                + (f"  {extras}" if extras else "")
-            )
-            for child in self.children_of(span):
-                visit(child, depth + 1)
-
-        for root in sorted(self.roots, key=lambda s: -s["dur_ns"]):
-            visit(root, 0)
-        if len(self.spans) > max_spans:
-            lines.append(f"  ... {len(self.spans) - max_spans} more span(s)")
-        return lines
-
-
-def trace_trees(records: list[dict[str, Any]]) -> list[TraceTree]:
-    """Group *records* by ``trace_id`` into :class:`TraceTree` objects,
-    slowest first.  Spans without a ``trace_id`` (ordinary local spans)
-    are left out."""
-    grouped: dict[str, list[dict[str, Any]]] = {}
-    for record in records:
-        trace_id = record.get("trace_id")
-        if trace_id is not None:
-            grouped.setdefault(trace_id, []).append(record)
-    trees = [TraceTree(trace_id, spans) for trace_id, spans in grouped.items()]
-    return sorted(trees, key=lambda tree: -tree.duration_ns)
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (``q`` in [0, 1]);
-    delegates to the package-wide helper :func:`repro.stats.percentile`."""
-    value = stats.percentile(ordered, q * 100.0)
-    return 0.0 if value is None else value
-
-
-def stage_rows(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Per-stage latency summary rows (count / p50 / p90 / p99 / max,
-    nanoseconds) from the ``<stage>_ns`` attributes of merged trace
-    records."""
-    samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    for record in records:
-        attrs = record.get("attrs", {})
-        for stage in STAGES:
-            value = attrs.get(f"{stage}_ns")
-            if isinstance(value, (int, float)):
-                samples[stage].append(float(value))
-    rows = []
-    for stage in STAGES:
-        values = sorted(samples[stage])
-        if not values:
-            continue
-        rows.append(
-            {
-                "stage": stage,
-                "count": len(values),
-                "p50_ns": _percentile(values, 0.50),
-                "p90_ns": _percentile(values, 0.90),
-                "p99_ns": _percentile(values, 0.99),
-                "max_ns": values[-1],
-            }
-        )
-    return rows

@@ -154,7 +154,7 @@ class EventLog:
         from .report import read_jsonl
 
         log = cls()
-        for record in read_jsonl(path, ("seq", "kind"), strict=False, on_skip=on_skip):
+        for record in read_jsonl(path, ("seq", "kind"), on_skip=on_skip):
             log.events.append(
                 SimEvent(
                     seq=record["seq"],

@@ -8,10 +8,10 @@ from repro.cluster import protocol, run_cluster, run_cluster_sync
 from repro.cluster.transport import MemoryTransport, TcpTransport, Transport
 from repro.faults import FaultPlan, MessageDrop
 from repro.obs import trace
-from repro.obs.distributed import WIRE, merge_traces, trace_trees
+from repro.obs.distributed import WIRE
 from repro.obs.events import EventLog
 from repro.obs.metrics import REGISTRY
-from repro.obs.report import summarize_files
+from repro.obs.report import merge_traces, summarize_files, trace_trees
 
 
 @pytest.fixture(autouse=True)

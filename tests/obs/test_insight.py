@@ -18,14 +18,12 @@ from repro.obs.insight import (
     POSTMORTEM_EVENTS,
     ClusterStatus,
     ContentionTally,
-    contention_from_records,
     deadlock_cycles,
     dump_postmortem,
     load_postmortem,
-    render_contention,
-    render_postmortem,
     wait_for_graph,
 )
+from repro.obs.report import contention_from_records, render_contention, render_postmortem
 
 
 def chain_tx(name, database, entities):

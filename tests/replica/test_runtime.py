@@ -1,5 +1,6 @@
 """The replicated runtime: report shape, determinism, validation."""
 
+import json
 import re
 
 import pytest
@@ -202,3 +203,35 @@ class TestValidation:
         assert not WIRE.metrics_enabled
         assert WIRE.event_log is None
         assert not WIRE.active
+
+
+class TestGrantDelayAndLeaderKill:
+    """A grant delay ticks the run's one clock, so leases age while
+    the withheld grant waits; a private copy of the clock that the
+    next frame set back once let this run lose five of its eight
+    transactions to retry exhaustion."""
+
+    def test_every_transaction_commits(self, tmp_path, capsys):
+        from repro.cli import main
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(
+                {
+                    "grant_delays": [{"entity": "checking", "at": 5, "until": 200}],
+                    "site_crashes": [{"site": 2, "at": 150}],
+                }
+            )
+        )
+        code = main(
+            [
+                "cluster", "run", "examples/systems/transfer_2pl.sys",
+                "--replicas", "3", "--rounds", "4", "--concurrency", "4",
+                "--seed", "0", "--request-timeout", "1", "--max-retries", "8",
+                "--faults", str(plan), "--json",
+            ]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["committed"] == payload["transactions"] == 8
+        assert payload["audit_complete"] and payload["serializable"]
+        assert code == 0

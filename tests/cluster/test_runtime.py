@@ -291,6 +291,10 @@ class TestConfiguration:
         with pytest.raises(ClusterError):
             run_cluster_sync(deadlock_prone_system, rounds=0)
 
+    def test_negative_retry_budget_rejected(self, deadlock_prone_system):
+        with pytest.raises(ClusterError, match="max_retries"):
+            run_cluster_sync(deadlock_prone_system, max_retries=-1)
+
     def test_bad_transport_rejected(self, deadlock_prone_system):
         with pytest.raises(ClusterError):
             run_cluster_sync(deadlock_prone_system, transport="carrier-pigeon")

@@ -881,6 +881,33 @@ class TestCountFlags:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "examples/systems/transfer_2pl.sys", "--runs", "-5"],
+            ["simulate", "examples/systems/transfer_2pl.sys", "--runs", "0"],
+            ["chaos", "examples/systems/transfer_2pl.sys", "--seeds", "-1"],
+            ["chaos", "examples/systems/transfer_2pl.sys", "--seeds", "0"],
+            ["simulate", "examples/systems/transfer_2pl.sys", "--max-retries", "-2",
+             "--deadlock-policy", "abort-youngest"],
+            ["chaos", "examples/systems/transfer_2pl.sys", "--max-retries", "-1"],
+            ["cluster", "run", "examples/systems/transfer_2pl.sys", "--max-retries", "-1"],
+            ["arena", "--workload", "w.json", "--max-retries", "-1"],
+        ],
+        ids=[
+            "negative-runs",
+            "no-runs",
+            "negative-seeds",
+            "no-seeds",
+            "simulate-retries",
+            "chaos-retries",
+            "cluster-retries",
+            "arena-retries",
+        ],
+    )
+    def test_negative_or_empty_counts(self, argv, capsys):
+        self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
         "flags",
         [["--replicas", "0"], ["--replicas", "3", "--replica-index", "-1"]],
         ids=["no-replicas", "negative-index"],

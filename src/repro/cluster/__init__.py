@@ -23,7 +23,7 @@ with a network, and its absence showing up as real anomalies.
 
 from .coordinator import Coordinator, TxnOutcome
 from .gateway import Gateway, GatewayDecision
-from .netfaults import NetworkFaultAdapter
+from .netfaults import LogicalClock, NetworkFaultAdapter
 from .protocol import PEER_KINDS, REQUEST_KINDS, ProtocolError
 from .runtime import (
     ClusterConfig,
@@ -54,6 +54,7 @@ __all__ = [
     "GatewayDecision",
     "LatencyMatrix",
     "LatencyTransport",
+    "LogicalClock",
     "MemoryTransport",
     "NetworkFaultAdapter",
     "PEER_KINDS",

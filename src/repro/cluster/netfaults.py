@@ -1,32 +1,60 @@
-"""Fault plans reinterpreted as *network* faults.
+"""The run clock, and fault plans reinterpreted as *network* faults.
 
 The simulator's :class:`~repro.faults.plan.FaultPlan` speaks in engine
-steps; the cluster has no global step counter, so this adapter replays
-the same plan on a cluster-wide **logical message clock**: every
-protocol message a site processes (and every tick a stalled site
-waits) advances it by one.  The reinterpretation:
+steps; the cluster has no global step counter, so every cluster run
+keeps one :class:`LogicalClock` — a cluster-wide **logical message
+clock** — and replays the plan on it through the same
+:class:`~repro.faults.injector.FaultInjector` the simulator uses.  The
+topology builds the clock and hands it to every site server and to the
+fault view.  The one rule of time:
+
+* each frame a site server processes ticks the clock once;
+* a withheld grant ticks it once per waiting turn;
+* a crashed plain site ticks it once per stall turn, so every finite
+  fault window closes even in an otherwise idle cluster;
+* a crashed replica does not tick it (:attr:`NetworkFaultAdapter.
+  ticks_while_down`): a dead leader must not age the leases that
+  choose its successor.
+
+Under the memory transport the whole schedule of misfortune is thereby
+deterministic.  The reinterpretation:
 
 * :class:`~repro.faults.plan.SiteCrash` — the site server stops
-  consuming messages while ``at <= clock < recover_at`` (both crash
-  semantics look like a dead server from outside; the lease-style
-  ``"release"`` table-clearing remains simulator-only).
+  consuming messages while any of its crash windows is open (both
+  crash semantics look like a dead server from outside; the
+  lease-style ``"release"`` table-clearing remains simulator-only).
 * :class:`~repro.faults.plan.GrantDelay` — a matching lock *grant
   reply* is withheld until the window closes: the lock is taken in the
   site's table, but the requester learns late — a pure message delay.
 * :class:`~repro.faults.plan.MessageDrop` — a matching inbound message
   is discarded unprocessed (a ``drop`` event and counter record it);
   the sender's request timeout is its only recourse.
-
-Waiting loops tick the clock too, so every finite fault window closes
-even in an otherwise idle cluster, and under the memory transport the
-whole schedule of misfortune is deterministic.
 """
 
 from __future__ import annotations
 
+from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..obs.events import EventLog
 from ..obs.metrics import REGISTRY
+
+
+class LogicalClock:
+    """The run's one monotone message counter; leases and fault
+    windows are plain integer comparisons against :attr:`now`."""
+
+    __slots__ = ("now",)
+
+    def __init__(self) -> None:
+        self.now = 0
+
+    def tick(self) -> int:
+        """Advance by one; returns the new time."""
+        self.now += 1
+        return self.now
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LogicalClock(now={self.now})"
 
 
 # Resolved by name at use time: a cached handle would be orphaned by
@@ -39,67 +67,53 @@ def _drops_counter():
 
 
 class NetworkFaultAdapter:
-    """Per-run fault state every site server of a cluster consults."""
+    """A :class:`FaultInjector` on the run clock, plus the events and
+    drop counter of a cluster run; every site server consults it."""
+
+    #: Does a crashed server tick the clock while it stalls?
+    ticks_while_down = True
 
     def __init__(
         self,
         plan: FaultPlan | None = None,
         *,
+        clock: LogicalClock,
         event_log: EventLog | None = None,
     ) -> None:
-        self.plan = plan or FaultPlan()
+        self.injector = FaultInjector(plan or FaultPlan())
+        self.clock = clock
         self.event_log = event_log
-        self.clock = 0
         self.dropped = 0
-        self._down_announced: set[int] = set()
+
+    def _emit(self, kind: str, **fields) -> None:
+        if self.event_log is not None:
+            self.event_log.emit(kind, **fields)
 
     # ------------------------------------------------------------------
-    def tick(self) -> int:
-        """Advance the logical message clock by one."""
-        self.clock += 1
-        return self.clock
-
     def site_down(self, site: int) -> bool:
         """Is *site* inside a crash window right now?"""
-        for crash in self.plan.site_crashes:
-            if crash.site != site or self.clock < crash.at:
-                continue
-            if crash.recover_at is None or self.clock < crash.recover_at:
-                if site not in self._down_announced:
-                    self._down_announced.add(site)
-                    if self.event_log is not None:
-                        self.event_log.emit(
-                            "crash",
-                            site=site,
-                            detail=f"server stopped at message clock {self.clock}",
-                        )
-                return True
-        if site in self._down_announced:
-            self._down_announced.discard(site)
-            if self.event_log is not None:
-                self.event_log.emit(
-                    "recover",
-                    site=site,
-                    detail=f"server resumed at message clock {self.clock}",
-                )
-        return False
+        now = self.clock.now
+        fired, recovered = self.injector.advance(now)
+        for crash in fired:
+            self._emit("crash", site=crash.site, detail=f"server stopped at message clock {now}")
+        for crash in recovered:
+            self._emit("recover", site=crash.site, detail=f"server resumed at message clock {now}")
+        return self.injector.site_down(site)
 
     def grant_delayed(self, entity: str, site: int) -> bool:
         """Must the grant reply for *entity* at *site* be withheld?"""
-        return any(delay.applies_to(entity, site, self.clock) for delay in self.plan.grant_delays)
+        return self.injector.grant_delayed(entity, site, self.clock.now)
 
     def drop(self, site: int, kind: str, *, transaction: str | None = None) -> bool:
         """Discard this inbound message?  Records the drop if so."""
-        for entry in self.plan.message_drops:
-            if entry.applies_to(site, kind, self.clock):
-                self.dropped += 1
-                _drops_counter().inc()
-                if self.event_log is not None:
-                    self.event_log.emit(
-                        "drop",
-                        site=site,
-                        transaction=transaction,
-                        detail=f"{kind} dropped at message clock {self.clock}",
-                    )
-                return True
-        return False
+        if not self.injector.message_dropped(site, kind, self.clock.now):
+            return False
+        self.dropped += 1
+        _drops_counter().inc()
+        self._emit(
+            "drop",
+            site=site,
+            transaction=transaction,
+            detail=f"{kind} dropped at message clock {self.clock.now}",
+        )
+        return True

@@ -36,7 +36,7 @@ from ..obs.insight import ContentionTally
 from ..obs.metrics import REGISTRY, Counter, Histogram
 from ..sim.lockmanager import SiteLockManager
 from . import protocol
-from .netfaults import NetworkFaultAdapter
+from .netfaults import LogicalClock, NetworkFaultAdapter
 from .transport import Connection, Transport, TransportError, encode_frame
 
 #: Buckets for grant latency measured in site-local processed messages.
@@ -112,6 +112,7 @@ class SiteServer:
         peers: tuple[int, ...] = (),
         deadlock_policy: str = "abort-youngest",
         grant_timeout: int | None = None,
+        clock: LogicalClock | None = None,
         faults: NetworkFaultAdapter | None = None,
         event_log: EventLog | None = None,
         seed: int = 0,
@@ -122,6 +123,9 @@ class SiteServer:
         #: ``None`` disables probe-based resolution (timeouts only).
         self.deadlock_policy = validate_policy(deadlock_policy)
         self.grant_timeout = grant_timeout
+        #: The run clock (:mod:`repro.cluster.netfaults`), shared by
+        #: every server of a run; a lone server keeps its own.
+        self.clock = clock if clock is not None else LogicalClock()
         self.faults = faults
         self.event_log = event_log
         self.locks = SiteLockManager(site, event_log=event_log)
@@ -199,12 +203,10 @@ class SiteServer:
     async def _fault_gate(self, message: dict) -> bool:
         """Apply the injected-fault schedule to one inbound message;
         ``False`` means the message was dropped unprocessed."""
-        self.faults.tick()
-        # A crashed server stops consuming: stall until the window
-        # closes (every wait-tick advances the fault clock, so
-        # finite windows always close).
+        # A crashed server stops consuming: stall until its windows close.
         while self.running and self.faults.site_down(self.site):
-            self.faults.tick()
+            if self.faults.ticks_while_down:
+                self.clock.tick()
             await self.transport.sleep(1)
         return not self.faults.drop(
             self.site,
@@ -223,13 +225,8 @@ class SiteServer:
         "status",
     )
 
-    def _tick(self) -> None:
-        """Called once per inbound frame, before the fault gate.  A
-        plain site keeps no clock; :class:`repro.replica.server.
-        ReplicaServer` ticks its group's logical clock here."""
-
     async def _process(self, connection: Connection, message: dict) -> None:
-        self._tick()
+        self.clock.tick()
         if self.faults is not None and not await self._fault_gate(message):
             return
         if not self.running:
@@ -734,7 +731,7 @@ class SiteServer:
     ) -> None:
         """GrantDelay as a message delay: hold the reply, not the lock."""
         while self.running and self.faults.grant_delayed(entity, self.site):
-            self.faults.tick()
+            self.clock.tick()
             await self.transport.sleep(1)
         await self._safe_send(connection, protocol.reply(request_id, "granted", entity=entity))
 

@@ -26,7 +26,6 @@ Protocol and failure semantics are documented in
 ``docs/replication.md``.
 """
 
-from .clock import LogicalClock
 from .faults import ReplicaFaultAdapter
 from .group import GroupRegistry, ReplicaGroup, logical_site_of, replica_address
 from .log import ReplicationLog
@@ -35,7 +34,6 @@ from .runtime import ReplicaReport, run_replicated_cluster, run_replicated_sync
 from .server import ReplicaServer
 
 __all__ = [
-    "LogicalClock",
     "ReplicaFaultAdapter",
     "GroupRegistry",
     "ReplicaGroup",

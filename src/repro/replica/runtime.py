@@ -4,8 +4,8 @@
 run_cluster` with :class:`ReplicaTopology` plugged into the runner's
 topology seam: every logical site becomes a
 :class:`~repro.replica.group.ReplicaGroup` of N
-:class:`~repro.replica.server.ReplicaServer` replicas sharing one
-:class:`~repro.replica.clock.LogicalClock`, coordinators route through
+:class:`~repro.replica.server.ReplicaServer` replicas sharing the run's
+one :class:`~repro.cluster.netfaults.LogicalClock`, coordinators route through
 a :class:`~repro.replica.resolver.LeaderResolver`, and
 :class:`~repro.faults.plan.SiteCrash` entries kill *leaders* instead
 of sites.  The :class:`ReplicaReport` extends the cluster report with
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from ..core.schedule import TransactionSystem
 from ..cluster.runtime import ClusterConfig, ClusterReport, Topology, _fetch_history, _run
 from ..cluster.transport import TransportError
-from .clock import LogicalClock
 from .faults import ReplicaFaultAdapter
 from .group import GroupRegistry, ReplicaGroup
 from .resolver import LeaderResolver
@@ -77,8 +76,8 @@ class ReplicaReport(ClusterReport):
 
 
 class ReplicaTopology(Topology):
-    """Every logical site is a :class:`ReplicaGroup` on one shared
-    :class:`LogicalClock`; coordinators find the lease leader through
+    """Every logical site is a :class:`ReplicaGroup` on the run's one
+    clock; coordinators find the lease leader through
     a :class:`LeaderResolver` (no client pool: failover re-dials are
     per-transaction decisions)."""
 
@@ -87,7 +86,6 @@ class ReplicaTopology(Topology):
 
     def __init__(self, system, config, transport) -> None:
         super().__init__(system, config, transport)
-        self.clock = LogicalClock()
         self.registry = GroupRegistry()
         self.groups = [
             ReplicaGroup(
@@ -109,7 +107,6 @@ class ReplicaTopology(Topology):
             ReplicaServer(
                 group,
                 index,
-                clock=self.clock,
                 peers=addresses,
                 **self.server_knobs(),
             )

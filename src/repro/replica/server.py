@@ -38,11 +38,11 @@ import asyncio
 
 from ..cluster import protocol
 from ..cluster.coordinator import _SiteClient
+from ..cluster.netfaults import LogicalClock
 from ..cluster.siteserver import SiteServer
 from ..cluster.transport import Connection, TransportError
 from ..obs import trace
 from ..obs.events import EventLog
-from .clock import LogicalClock
 from .faults import ReplicaFaultAdapter
 from .group import ReplicaGroup
 from .log import ReplicationLog
@@ -69,10 +69,10 @@ class ReplicaServer(SiteServer):
         index: int,
         *,
         transport,
-        clock: LogicalClock,
         peers: tuple[int, ...] = (),
         deadlock_policy: str = "abort-youngest",
         grant_timeout: int | None = None,
+        clock: LogicalClock | None = None,
         faults: ReplicaFaultAdapter | None = None,
         event_log: EventLog | None = None,
         seed: int = 0,
@@ -84,6 +84,7 @@ class ReplicaServer(SiteServer):
             peers=peers,
             deadlock_policy=deadlock_policy,
             grant_timeout=grant_timeout,
+            clock=clock,
             faults=faults,
             event_log=event_log,
             seed=seed,
@@ -91,7 +92,6 @@ class ReplicaServer(SiteServer):
         self.group = group
         self.index = index
         self.address = group.addresses[index]
-        self.clock = clock
         self.log = ReplicationLog()
         self.election_timeout = election_timeout
         #: Replica 0 boots as leader of epoch 1; everyone agrees.
@@ -139,28 +139,6 @@ class ReplicaServer(SiteServer):
         for client in clients.values():
             await client.close()
         await super().stop()
-
-    # ------------------------------------------------------------------
-    # Clock and faults
-    # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        # Under a fault plan the gate ticks instead (see below).
-        if self.faults is None:
-            self.clock.tick()
-
-    async def _fault_gate(self, message: dict) -> bool:
-        """Like the base gate, but time is the *shared* clock — and a
-        stalled victim does not tick it: a dead server cannot be the
-        thing that ages everyone else's leases."""
-        self.clock.tick()
-        self.faults.observe(self.clock.now)
-        while self.running and self.faults.site_down(self.address):
-            await self.transport.sleep(1)
-        return not self.faults.drop(
-            self.address,
-            message.get("type", "?"),
-            transaction=message.get("txn"),
-        )
 
     # ------------------------------------------------------------------
     # Leader-only guard on client traffic

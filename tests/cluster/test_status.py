@@ -181,7 +181,8 @@ class TestProbeStitching:
 
 class TestReplicaStatus:
     def test_leader_and_follower_both_answer(self):
-        from repro.replica import LogicalClock, ReplicaGroup, ReplicaServer
+        from repro.cluster import LogicalClock
+        from repro.replica import ReplicaGroup, ReplicaServer
 
         async def scenario():
             transport = MemoryTransport()

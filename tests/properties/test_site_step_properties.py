@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import protocol
+from repro.cluster import LogicalClock, protocol
 from repro.cluster.siteserver import SiteServer
 from repro.cluster.transport import MemoryTransport
-from repro.replica import LogicalClock, ReplicaGroup, ReplicaServer
+from repro.replica import ReplicaGroup, ReplicaServer
 
 ENTITIES = ("x", "y", "z")
 STEP_KINDS = ("lock", "update", "unlock")

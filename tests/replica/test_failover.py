@@ -2,10 +2,9 @@
 
 import asyncio
 
-from repro.cluster import protocol
+from repro.cluster import LogicalClock, protocol
 from repro.cluster.transport import MemoryTransport
 from repro.replica import (
-    LogicalClock,
     ReplicaGroup,
     ReplicaServer,
     run_replicated_sync,

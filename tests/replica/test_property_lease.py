@@ -12,9 +12,9 @@ import asyncio
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import protocol
+from repro.cluster import LogicalClock, protocol
 from repro.cluster.transport import MemoryTransport
-from repro.replica import LogicalClock, ReplicaGroup, ReplicaServer
+from repro.replica import ReplicaGroup, ReplicaServer
 
 
 async def _ask(transport, address, kind, **fields):

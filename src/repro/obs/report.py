@@ -103,28 +103,26 @@ def _table(
     align: str,
     *,
     indent: str = "",
-    header_align: str | None = None,
 ) -> list[str]:
     """Fixed-width lines: *headers* over *rows*, every column as wide as
-    its widest cell and two spaces from the next, each cell aligned by
-    its column's character in *align* (``<`` left, ``>`` right;
-    *header_align* for the header line), trailing blanks stripped.
-    ``None`` prints as ``-`` and floats to three places."""
+    its widest cell and two spaces from the next, each cell (header
+    included) aligned by its column's character in *align* (``<``
+    left, ``>`` right), trailing blanks stripped.  ``None`` prints as
+    ``-`` and floats to three places."""
     lines = [list(headers)] + [
         ["-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v) for v in row]
         for row in rows
     ]
     widths = [max(map(len, column)) for column in zip(*lines)]
-    aligns = [header_align or align] + [align] * (len(lines) - 1)
     return [
         (
             indent
             + "  ".join(
                 cell.ljust(width) if how == "<" else cell.rjust(width)
-                for cell, width, how in zip(line, widths, line_align)
+                for cell, width, how in zip(line, widths, align)
             )
         ).rstrip()
-        for line, line_align in zip(lines, aligns)
+        for line in lines
     ]
 
 
@@ -328,8 +326,6 @@ def render_distributed(records: list[dict[str, Any]], *, trees: int = 3) -> str 
             ),
             "<>>>>>",
             indent="  ",
-            # Left-aligned numeric headers: the pinned trace-report text.
-            header_align="<<<<<<",
         )
 
     annotations = [r for r in records if r["span"] in ("replica.campaign", "replica.elect")]

@@ -336,7 +336,7 @@ txn.run  5.000 ms  [pid 4242]
       site.lock_wait  1.000 ms  [pid 4242]  entity=x site=1
 
 per-stage latency (from span attributes):
-  stage         count  p50 ms  p90 ms   p99 ms   max ms
+  stage         count  p50 ms   p90 ms   p99 ms   max ms
   encode            2   0.020    0.025    0.025    0.025
   transport         2   0.150  123.457  123.457  123.457
   server_queue      2   0.030    0.040    0.040    0.040
@@ -376,7 +376,7 @@ txn.run  5.000 ms  [pid 4242]
       site.lock_wait  1.000 ms  [pid 4242]  entity=x site=1
 
 per-stage latency (from span attributes):
-  stage         count  p50 ms  p90 ms   p99 ms   max ms
+  stage         count  p50 ms   p90 ms   p99 ms   max ms
   encode            2   0.020    0.025    0.025    0.025
   transport         2   0.150  123.457  123.457  123.457
   server_queue      2   0.030    0.040    0.040    0.040

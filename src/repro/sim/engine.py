@@ -167,8 +167,10 @@ class SimulationEngine:
             site: SiteLockManager(site, event_log=event_log)
             for site in range(1, self.database.sites + 1)
         }
-        self._executed: dict[str, set[Step]] = {
-            tx.name: set() for tx in system.transactions
+        #: Per transaction, a bitmask over the ids of its executed
+        #: steps (:meth:`~repro.core.transaction.Transaction.plan`).
+        self._executed: dict[str, int] = {
+            tx.name: 0 for tx in system.transactions
         }
         self._queues: dict[str, list[str]] = {}
         self._blocked_seen: set[tuple[str, str]] = set()
@@ -204,20 +206,15 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def _ready_steps(self, name: str) -> list[Step]:
-        tx = self.system[name]
+        """Unexecuted steps whose predecessors have all executed, in
+        program order."""
+        plan = self.system[name].plan()
         done = self._executed[name]
-        ready = []
-        for step in tx.steps:
-            if step in done:
-                continue
-            poset = tx.poset()
-            if all(
-                other in done
-                for other in tx.steps
-                if poset.precedes(other, step)
-            ):
-                ready.append(step)
-        return ready
+        return [
+            step
+            for number, (step, before) in enumerate(zip(plan.steps, plan.predecessors))
+            if not done >> number & 1 and before & done == before
+        ]
 
     def _note_blocked(
         self, name: str, entity: str, holder: str | None
@@ -323,12 +320,13 @@ class SimulationEngine:
                     site=site,
                     detail=str(step),
                 )
-        self._executed[name].add(step)
+        tx = self.system[name]
+        self._executed[name] |= 1 << tx.plan().index[step]
         self._history.append(Event(self._clock, site, name, step))
         self._clock += 1
         if (
             name in self._abort_clock
-            and len(self._executed[name]) == len(self.system[name])
+            and self._executed[name].bit_count() == len(tx)
         ):
             latency = self._clock - self._abort_clock.pop(name)
             self._recovery_latencies.append(latency)
@@ -376,7 +374,7 @@ class SimulationEngine:
             return False
         for manager in self.managers.values():
             manager.release_all(name)
-        self._executed[name].clear()
+        self._executed[name] = 0
         self._history.events = [
             event for event in self._history.events
             if event.transaction != name
@@ -506,7 +504,7 @@ class SimulationEngine:
             executed += 1
             if self._injector is not None:
                 crash = self._injector.take_transaction_crash(
-                    name, len(self._executed[name])
+                    name, self._executed[name].bit_count()
                 )
                 if crash is not None:
                     _faults_counter().labels(kind="transaction_crash").inc()
